@@ -17,7 +17,7 @@
 //! was fixed — remove the line) or cannot be parsed (no ` -- `, empty
 //! reason, unknown lint) is itself a deny-level finding, `B0`. The file can
 //! only shrink truthfully. Only heuristic lints may be baselined; the
-//! contract lints (`W1`, `U1`, `P1`, `S0`) cannot be grandfathered.
+//! contract lints (`U1`, `P1`, `S0`) cannot be grandfathered.
 
 /// Lints that may carry baseline entries.
 pub const BASELINABLE: &[&str] = &["A1", "B1", "F1", "D1", "L1"];
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn contract_lints_cannot_be_baselined() {
-        let b = parse("W1 crates/server/src/service.rs handle insert -- busy week\n");
+        let b = parse("P1 crates/server/src/service.rs handle unwrap -- busy week\n");
         assert!(b.entries.is_empty());
         assert_eq!(b.problems.len(), 1);
         assert!(b.problems[0].1.contains("cannot be baselined"));

@@ -1,4 +1,4 @@
-//! The four interprocedural lints, phrased as reachability queries over the
+//! The three interprocedural lints, phrased as reachability queries over the
 //! call graph ([`crate::graph`], [`crate::reach`]):
 //!
 //! - **A1 allocation-in-hot-path** — allocation shapes (`Vec::new`,
@@ -14,11 +14,6 @@
 //!   iteration or parallel-submit spans that reach floating-point
 //!   accumulation. FP addition does not commute with rounding, so operand
 //!   order must not depend on hash seeds or thread scheduling.
-//! - **W1 durability-before-ack** — every `ProbDb` mutation reachable from
-//!   the server protocol handler must pass a WAL append (`log_mutation` /
-//!   `append`) in the same function or its direct caller before the reply
-//!   is written. This is the replication gapless-handoff contract; it
-//!   denies by default and cannot be baselined.
 //!
 //! A1/B1/F1 are heuristics: real findings are either fixed or carried in
 //! the committed baseline file with a written reason (see
@@ -30,7 +25,7 @@ use crate::graph::{build, CallGraph, Resolution};
 use crate::lexer::TokKind;
 use crate::lints::{find_acquisitions, hash_typed_names, Lint, RawFinding};
 use crate::model::{receiver_chain, SourceFile};
-use crate::reach::{find_roots, fns_named, Reach, ReverseReach, Via};
+use crate::reach::{find_roots, fns_named, Reach, ReverseReach};
 use std::collections::BTreeSet;
 
 /// Options for the interprocedural pass.
@@ -596,134 +591,6 @@ fn lint_f1(
 }
 
 // ---------------------------------------------------------------------------
-// W1 — durability before ack
-// ---------------------------------------------------------------------------
-
-/// Protocol entry points whose replies acknowledge mutations.
-const W1_ROOTS: &[(&str, &str, Option<&str>)] = &[
-    ("server", "handle_command", None),
-    ("server", "handle_line", None),
-];
-
-/// `ProbDb` mutation shapes in `lo..=hi`: `.update_prob(` /
-/// `.extend_domain(`, and `.insert(` whose nearby receiver context names
-/// the database (`db` / `make_mut`).
-/// Whether the receiver two tokens before a `.method(` call is a local
-/// bound by `let [mut] recv = …` earlier in the same body. Mutating a
-/// locally-owned value (e.g. building a complemented copy of the database)
-/// is not a durability event — only mutations of the served state are.
-fn receiver_is_local(sf: &SourceFile, lo: usize, site: usize) -> bool {
-    let toks = sf.tokens();
-    if site < 2 || toks[site - 2].kind != TokKind::Ident {
-        return false;
-    }
-    let recv = toks[site - 2].text.as_str();
-    (lo..site.saturating_sub(2)).any(|k| {
-        if !toks[k].is_ident(recv) || !toks.get(k + 1).is_some_and(|n| n.is_punct("=")) {
-            return false;
-        }
-        let mut b = k;
-        while b >= 1 && toks[b - 1].is_ident("mut") {
-            b -= 1;
-        }
-        b >= 1 && toks[b - 1].is_ident("let")
-    })
-}
-
-fn mutation_sites(sf: &SourceFile, lo: usize, hi: usize) -> Vec<(usize, String)> {
-    let toks = sf.tokens();
-    let hi = hi.min(toks.len().saturating_sub(1));
-    let mut out = Vec::new();
-    for i in lo..=hi {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident
-            || sf.in_test(i)
-            || i == 0
-            || !toks[i - 1].is_punct(".")
-            || !toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-            || receiver_is_local(sf, lo, i)
-        {
-            continue;
-        }
-        match t.text.as_str() {
-            "update_prob" | "extend_domain" => out.push((i, t.text.clone())),
-            "insert" => {
-                let from = i.saturating_sub(8);
-                let db_context = toks[from..i]
-                    .iter()
-                    .any(|t| t.is_ident("db") || t.is_ident("make_mut"));
-                if db_context {
-                    out.push((i, "insert".to_string()));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Whether a WAL append happens after token `from` (exclusive) and before
-/// `to` (inclusive): an ident `log_mutation` or `append` called there.
-fn wal_pass(sf: &SourceFile, from: usize, to: usize) -> bool {
-    let toks = sf.tokens();
-    let to = to.min(toks.len().saturating_sub(1));
-    (from + 1..=to).any(|i| {
-        (toks[i].is_ident("log_mutation") || toks[i].is_ident("append"))
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-    })
-}
-
-fn lint_w1(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    opts: &InterprocOptions,
-    out: &mut Vec<RawFinding>,
-) {
-    let roots = find_roots(graph, files, W1_ROOTS, opts.hot_everywhere);
-    if roots.is_empty() {
-        return;
-    }
-    let reach = Reach::forward(graph, &roots);
-    for (id, f) in graph.symbols.fns.iter().enumerate() {
-        if !reach.reaches(id) || f.in_test {
-            continue;
-        }
-        let Some((lo, hi)) = f.body else { continue };
-        let sf = &files[f.file];
-        for (tok, desc) in mutation_sites(sf, lo, hi) {
-            let mut passed = wal_pass(sf, tok, hi);
-            if !passed {
-                // One caller up along the reachability path: wrapper
-                // mutators whose caller logs on their behalf.
-                if let Some(Via::Call { parent, .. }) = &reach.via[id] {
-                    let pf = &graph.symbols.fns[*parent];
-                    if let Some((plo, phi)) = pf.body {
-                        passed = wal_pass(&files[pf.file], plo, phi);
-                    }
-                }
-            }
-            if !passed {
-                out.push(mk(
-                    Lint::W1,
-                    f.file,
-                    sf,
-                    tok,
-                    format!(
-                        "mutation `{desc}` in `fn {}` is reachable from the protocol handler \
-                         ({}) but no WAL append (`log_mutation`/`append`) follows before the \
-                         reply — an acked mutation that missed the WAL is lost on crash and \
-                         never ships to replicas",
-                        f.name,
-                        reach.trace(graph, files, id)
-                    ),
-                    Some(format!("{} {desc}", f.name)),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -738,7 +605,6 @@ pub fn run_interproc(
     lint_a1(files, &graph, opts, &mut raw);
     lint_b1(files, &graph, opts, &mut raw);
     lint_f1(files, &graph, opts, &mut raw);
-    lint_w1(files, &graph, opts, &mut raw);
 
     let mut seen: BTreeSet<(String, usize, String)> = BTreeSet::new();
     let mut out = Vec::new();
@@ -852,32 +718,6 @@ mod tests {
              }\n\
              fn add_to(acc: &mut f64, p: f64) { *acc += p; }\n");
         assert!(codes(&fs).iter().all(|c| *c != "F1"), "{fs:?}");
-    }
-
-    #[test]
-    fn w1_requires_wal_append_after_mutation() {
-        let bad = run(
-            "pub fn handle_command(db: &mut Db) { db.insert(1); reply_ok(); }\n\
-             fn reply_ok() {}\n",
-        );
-        let w1: Vec<&RawFinding> = bad.iter().filter(|f| f.lint == Lint::W1).collect();
-        assert_eq!(w1.len(), 1, "{bad:?}");
-
-        let good = run(
-            "pub fn handle_command(db: &mut Db) { db.insert(1); log_mutation(op); reply_ok(); }\n\
-             fn log_mutation(op: Op) {}\nfn reply_ok() {}\n",
-        );
-        assert!(good.iter().all(|f| f.lint != Lint::W1), "{good:?}");
-    }
-
-    #[test]
-    fn w1_accepts_logging_one_caller_up() {
-        let fs = run(
-            "pub fn handle_command(db: &mut Db) { apply(db); log_mutation(op); }\n\
-             fn apply(db: &mut Db) { db.insert(1); }\n\
-             fn log_mutation(op: Op) {}\n",
-        );
-        assert!(fs.iter().all(|f| f.lint != Lint::W1), "{fs:?}");
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! | `A1` | warn    | no allocation reachable from the evaluation hot roots |
 //! | `B1` | warn    | no blocking call reachable from pool workers or the request loop |
 //! | `F1` | warn    | no float accumulation fed by hash or parallel operand order |
-//! | `W1` | deny    | every acked mutation passes the WAL append first |
 //! | `B0` | deny    | baseline entries parse and still match a finding |
 //!
 //! Findings can be waived in place with
@@ -118,7 +117,7 @@ impl Report {
 }
 
 /// Lint codes accepted in suppression comments.
-const KNOWN_CODES: &[&str] = &["D1", "U1", "L1", "P1", "A1", "B1", "F1", "W1"];
+const KNOWN_CODES: &[&str] = &["D1", "U1", "L1", "P1", "A1", "B1", "F1"];
 
 /// Analyzes `(path, source)` pairs and produces a report.
 pub fn analyze_sources(sources: &[(String, String)], opts: &Options) -> Report {

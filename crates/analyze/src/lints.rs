@@ -40,8 +40,6 @@ pub enum Lint {
     B1,
     /// Float accumulation fed by hash/parallel order (interprocedural).
     F1,
-    /// Mutation acked without passing the WAL (interprocedural).
-    W1,
     /// Stale or malformed baseline entry.
     B0,
 }
@@ -58,17 +56,16 @@ impl Lint {
             Lint::A1 => "A1",
             Lint::B1 => "B1",
             Lint::F1 => "F1",
-            Lint::W1 => "W1",
             Lint::B0 => "B0",
         }
     }
 
     /// Whether a finding of this lint fails the build by default. The
     /// heuristic lints (D1, L1, A1, B1, F1) warn by default and are
-    /// promoted by `--deny-all`; the contract lints (U1, P1, S0, W1) and
+    /// promoted by `--deny-all`; the contract lints (U1, P1, S0) and
     /// baseline hygiene (B0) always deny.
     pub fn denies_by_default(self) -> bool {
-        matches!(self, Lint::U1 | Lint::P1 | Lint::S0 | Lint::W1 | Lint::B0)
+        matches!(self, Lint::U1 | Lint::P1 | Lint::S0 | Lint::B0)
     }
 }
 

@@ -177,35 +177,10 @@ fn f1_clean_sorted_iteration_passes() {
 }
 
 #[test]
-fn w1_bad_flags_unlogged_mutation_before_ack() {
-    let (json, code) = lint_fixture("w1_bad.rs", &["--hot-everywhere"]);
-    assert_eq!(code, 1, "{json}");
-    assert!(json.contains("\"lint\":\"W1\""), "{json}");
-    assert!(
-        json.contains("mutation `update_prob` in `fn handle_command`"),
-        "{json}"
-    );
-    assert!(json.contains("no WAL append"), "{json}");
-}
-
-#[test]
-fn w1_clean_logged_mutation_passes() {
-    let (json, code) = lint_fixture("w1_clean.rs", &["--hot-everywhere"]);
-    assert_eq!(code, 0, "{json}");
-    assert!(json.contains("\"findings\":[]"), "{json}");
-}
-
-#[test]
 fn interproc_fixtures_resolve_every_call_site() {
     // The fixtures exercise free-fn, method, and cross-fn resolution; all
     // of their call sites must resolve (the workspace floor is 80%).
-    for name in [
-        "a1_bad.rs",
-        "b1_bad.rs",
-        "f1_bad.rs",
-        "w1_bad.rs",
-        "w1_clean.rs",
-    ] {
+    for name in ["a1_bad.rs", "b1_bad.rs", "f1_bad.rs"] {
         let (json, _) = lint_fixture(name, &["--hot-everywhere"]);
         assert!(
             json.contains("\"resolution_rate\":1.0000"),

@@ -5,7 +5,8 @@
 //! checkpoint lags the log head, the more records replay on open.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pdb_store::snapshot::{apply_op, encode_snapshot};
+use pdb_store::apply_op;
+use pdb_store::snapshot::encode_snapshot;
 use pdb_store::{FsyncPolicy, MemFs, Store, StoreOptions, WalOp};
 use pdb_views::persist::ViewDefState;
 use pdb_views::ViewManager;

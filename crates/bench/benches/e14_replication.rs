@@ -10,10 +10,10 @@
 //!   and how fast a converged replica serves the read side.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pdb_replica::{ReplicaHub, ReplicaStatus};
+use pdb_replica::{ReplicaApply, ReplicaHub, ReplicaStatus};
 use pdb_server::{Service, ServiceOptions};
-use pdb_store::snapshot::{apply_op, encode_snapshot};
-use pdb_store::WalOp;
+use pdb_store::snapshot::encode_snapshot;
+use pdb_store::{apply_op, WalOp};
 use pdb_views::persist::ViewDefState;
 use pdb_views::ViewManager;
 use std::hint::black_box;
@@ -51,7 +51,7 @@ fn workload(n: usize) -> Vec<WalOp> {
                 prob: 0.8,
             },
             // Update a tuple inserted at i == 0: a real primary never logs
-            // an update of an absent tuple, and `apply_replicated` treats
+            // an update of an absent tuple, and `ReplicaApply::apply` treats
             // one as divergence.
             _ if i % 7 == 5 => WalOp::UpdateProb {
                 relation: "R".into(),
@@ -110,8 +110,8 @@ fn bench(c: &mut Criterion) {
         let ops = workload(256);
         b.iter(|| {
             let svc = replica_service();
-            for op in &ops {
-                svc.apply_replicated(black_box(op)).expect("apply");
+            for (lsn, op) in ops.iter().enumerate() {
+                svc.apply(lsn as u64, black_box(op)).expect("apply");
             }
             svc.db_version()
         });
@@ -125,8 +125,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("bootstrap/install_{n}_tuples"), |b| {
             b.iter(|| {
                 let svc = replica_service();
-                svc.install_replicated_snapshot(black_box(&image))
-                    .expect("install")
+                svc.install_snapshot(black_box(&image)).expect("install")
             });
         });
     }
@@ -159,8 +158,8 @@ fn bench(c: &mut Criterion) {
     // bench's cache-hit number, identical on a replica).
     g.bench_function("read/replica_query_cold", |b| {
         let svc = replica_service();
-        for op in workload(256) {
-            svc.apply_replicated(&op).expect("apply");
+        for (lsn, op) in workload(256).iter().enumerate() {
+            svc.apply(lsn as u64, op).expect("apply");
         }
         b.iter(|| {
             svc.clear_cache();

@@ -8,9 +8,9 @@
 //! The subsystem is three layers, each usable on its own:
 //!
 //! - [`protocol`] — the line protocol (commands, parser, answer
-//!   formatters, wire framing) shared with `probdb-cli`, so both front ends
-//!   accept the same language and print byte-identical answers;
-//! - [`service`] — a thread-safe engine façade: snapshot reads over
+//!   formatters, wire framing);
+//! - [`service`] — a thread-safe engine façade (`probdb-cli` runs one in
+//!   process, so shell and server print the same bytes): snapshot reads over
 //!   `RwLock<Arc<ProbDb>>`, copy-on-write mutation, a versioned LRU result
 //!   cache ([`cache`]), wall-clock timeouts degrading to the approximate
 //!   engine, and observability counters ([`stats`]);

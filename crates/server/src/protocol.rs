@@ -1,11 +1,11 @@
-//! The probdb command protocol, shared verbatim by the interactive CLI
-//! (`probdb-cli`) and the TCP server (`probdb-serve`).
+//! The probdb command protocol: what [`crate::Service`] accepts and how it
+//! renders answers, whether it sits behind TCP (`probdb-serve`) or in
+//! process (`probdb-cli`).
 //!
-//! One command per line, answers as plain text. Extracting the parser and
-//! the answer formatters here guarantees the two front ends accept the same
-//! language and render byte-identical results — the server-concurrency
-//! integration test relies on that to compare wire responses against
-//! single-threaded evaluation.
+//! One command per line, answers as plain text. The answer formatters are
+//! public so callers can render an in-process evaluation exactly as the
+//! service would — the server-concurrency integration test compares wire
+//! responses against single-threaded evaluation that way.
 //!
 //! ## Wire framing (server only)
 //!
@@ -15,7 +15,7 @@
 //! [`write_framed`] / [`read_framed`].
 
 use pdb_core::{Answer, AnswerTuple, Complexity};
-use pdb_views::{RefreshOutcome, View};
+use pdb_views::{RefreshOutcome, View, ViewDefState};
 use std::io::{BufRead, Write};
 
 /// One parsed shell command.
@@ -116,8 +116,9 @@ pub enum ViewCommand {
     Create {
         /// The view's name.
         name: String,
-        /// What it materializes.
-        query: ViewQueryText,
+        /// What it materializes (same sub-languages as `query` /
+        /// `answers`), in the textual form the WAL records.
+        def: ViewDefState,
     },
     /// `view refresh [<name>]` — one view, or every view when omitted.
     Refresh {
@@ -138,21 +139,6 @@ pub enum ViewCommand {
     },
 }
 
-/// The query payload of `view create` (same sub-languages as `query` /
-/// `answers`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ViewQueryText {
-    /// A Boolean sentence.
-    Boolean(String),
-    /// Head variables + CQ body.
-    Answers {
-        /// Head variables, in output order.
-        head: Vec<String>,
-        /// The conjunctive-query body.
-        cq: String,
-    },
-}
-
 fn parse_view_command(rest: &str) -> Result<ViewCommand, String> {
     const USAGE: &str = "usage: view create|refresh|drop|list|show …";
     let (sub, rest) = match rest.split_once(char::is_whitespace) {
@@ -169,12 +155,12 @@ fn parse_view_command(rest: &str) -> Result<ViewCommand, String> {
                 Some((k, p)) => (k, p.trim()),
                 None => (spec, ""),
             };
-            let query = match kind {
+            let def = match kind {
                 "query" => {
                     if payload.is_empty() {
                         return Err("usage: view create <name> query <sentence>".into());
                     }
-                    ViewQueryText::Boolean(payload.to_string())
+                    ViewDefState::Boolean(payload.to_string())
                 }
                 "answers" => {
                     let (head_vars, cq) = payload.split_once(':').ok_or_else(|| {
@@ -191,9 +177,9 @@ fn parse_view_command(rest: &str) -> Result<ViewCommand, String> {
                     if cq.trim().is_empty() {
                         return Err("view create … answers needs a query body after `:`".into());
                     }
-                    ViewQueryText::Answers {
+                    ViewDefState::Answers {
                         head,
-                        cq: cq.trim().to_string(),
+                        body: cq.trim().to_string(),
                     }
                 }
                 other => {
@@ -204,7 +190,7 @@ fn parse_view_command(rest: &str) -> Result<ViewCommand, String> {
             };
             Ok(ViewCommand::Create {
                 name: name.to_string(),
-                query,
+                def,
             })
         }
         "refresh" => Ok(ViewCommand::Refresh {
@@ -642,16 +628,16 @@ mod tests {
             parse_command("view create v query exists x. R(x)").unwrap(),
             Command::View(ViewCommand::Create {
                 name: "v".into(),
-                query: ViewQueryText::Boolean("exists x. R(x)".into())
+                def: ViewDefState::Boolean("exists x. R(x)".into())
             })
         );
         assert_eq!(
             parse_command("view create v answers x, y : R(x), S(x,y)").unwrap(),
             Command::View(ViewCommand::Create {
                 name: "v".into(),
-                query: ViewQueryText::Answers {
+                def: ViewDefState::Answers {
                     head: vec!["x".into(), "y".into()],
-                    cq: "R(x), S(x,y)".into()
+                    body: "R(x), S(x,y)".into()
                 }
             })
         );
@@ -834,12 +820,12 @@ mod tests {
                 Command::View(v) => match v {
                     ViewCommand::Create {
                         name,
-                        query: ViewQueryText::Boolean(q),
+                        def: ViewDefState::Boolean(q),
                     } => format!("view create {name} query {q}"),
                     ViewCommand::Create {
                         name,
-                        query: ViewQueryText::Answers { head, cq },
-                    } => format!("view create {name} answers {} : {cq}", head.join(", ")),
+                        def: ViewDefState::Answers { head, body },
+                    } => format!("view create {name} answers {} : {body}", head.join(", ")),
                     ViewCommand::Refresh { name: Some(n) } => format!("view refresh {n}"),
                     ViewCommand::Refresh { name: None } => "view refresh".into(),
                     ViewCommand::Drop { name } => format!("view drop {name}"),
@@ -886,13 +872,13 @@ mod tests {
             },
             Command::View(ViewCommand::Create {
                 name: "v".into(),
-                query: ViewQueryText::Boolean("exists x. R(x)".into()),
+                def: ViewDefState::Boolean("exists x. R(x)".into()),
             }),
             Command::View(ViewCommand::Create {
                 name: "w".into(),
-                query: ViewQueryText::Answers {
+                def: ViewDefState::Answers {
                     head: vec!["x".into(), "y".into()],
-                    cq: "R(x), S(x,y)".into(),
+                    body: "R(x), S(x,y)".into(),
                 },
             }),
             Command::View(ViewCommand::Refresh {

@@ -22,13 +22,26 @@
 //! way the key is read from the same snapshot the query runs on — no stale
 //! probability can ever be served.
 //!
+//! ## Mutations
+//!
+//! Every write — `insert`, `update`, `domain`, `view create`, `view drop`,
+//! from a client or from the replication stream — is a
+//! [`pdb_store::WalOp`] applied by one function, `apply_mutation`. Client
+//! writes reach it through `commit`, the only caller of
+//! [`pdb_store::Store::append`], so nothing is acknowledged unlogged and
+//! nothing else writes the served database.
+//!
 //! ## Materialized views
 //!
 //! A [`pdb_views::ViewManager`] behind its own mutex serves the
-//! `view create|refresh|drop|list|show` commands. Lock discipline: writers
-//! mutate the database first, **release** the write lock, then deliver the
-//! versioned event to the manager; view commands lock the manager first and
-//! snapshot the database inside. Neither path holds both locks at once, so
+//! `view create|refresh|drop|list|show` commands. Lock order: store → views
+//! → db. A mutation writes the database, **releases** the write lock, then
+//! delivers the versioned event to the manager; `view create` compiles
+//! against a snapshot with neither lock held and takes the manager lock
+//! only to install. The one path that holds two at once is `view refresh`,
+//! which keeps the manager locked for the whole rebuild and snapshots the
+//! database (a read lock held just long enough to clone the `Arc`) inside
+//! it. Nothing acquires the manager while holding the database lock, so
 //! there is no ordering cycle; the manager's version-sequenced events make
 //! the out-of-order window between mutation and delivery harmless.
 //!
@@ -46,17 +59,15 @@ use crate::cache::LruCache;
 use crate::protocol::{
     format_answer, format_answer_tuples, format_complexity, format_open, format_update_missing,
     format_view_created, format_view_list, format_view_refreshed, format_view_show,
-    normalize_query, parse_command, Command, ViewCommand, ViewQueryText, HELP,
+    normalize_query, parse_command, Command, ViewCommand, HELP,
 };
 use crate::stats::{KernelSnapshot, PoolSnapshot, Stats, ViewsSnapshot};
 use pdb_core::{Answer, Complexity, EngineError, ProbDb, QueryOptions};
-use pdb_data::Tuple;
 use pdb_obs::{span, with_tracer, with_tracer_under, Stage, Tracer};
 use pdb_replica::{Frame, ReadOnlyReplica, ReplicaFeed, ReplicaHub, ReplicaStatus};
 use pdb_store::snapshot::{decode_snapshot, encode_snapshot};
-use pdb_store::{Store, WalOp};
-use pdb_views::persist::ViewDefState;
-use pdb_views::{ViewDef, ViewManager};
+use pdb_store::{Refused, Store, StoreError, WalOp};
+use pdb_views::ViewManager;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{
@@ -173,7 +184,7 @@ struct Shared {
     /// Queries slower than `opts.slowlog_threshold`, newest last.
     slowlog: Mutex<VecDeque<TraceCapture>>,
     /// The durable store, when serving with `--data-dir`. Lock order:
-    /// store → db → views. Every mutation takes the store mutex outermost
+    /// store → views → db. Every mutation takes the store mutex outermost
     /// (apply in memory, then log, then acknowledge), so a checkpoint —
     /// which also holds it — always exports a database + view state that
     /// matches the logged prefix exactly.
@@ -195,6 +206,14 @@ struct Shared {
 struct ReplicaRole {
     primary: String,
     status: Arc<ReplicaStatus>,
+}
+
+/// Why [`Service::commit`] did not acknowledge a mutation.
+enum CommitError {
+    /// The op found nothing to act on; state and log are untouched.
+    Refused(Refused),
+    /// The store could not take the record (or was already wedged).
+    NotPersisted(StoreError),
 }
 
 /// How often an idle replication stream emits a heartbeat frame.
@@ -326,9 +345,7 @@ impl Service {
             // Bootstrap from *live* state: no disk round trip, and the
             // snapshot carries every view's compiled circuit, so the
             // replica never recompiles.
-            let states = lock(&self.inner.views).export_states();
-            let db = Arc::clone(&read(&self.inner.db));
-            frames.push(Frame::Snapshot(encode_snapshot(next, &db, &states)));
+            frames.push(Frame::Snapshot(self.snapshot_image(next)));
         } else {
             let follower = store
                 .follow(from_lsn)
@@ -349,9 +366,21 @@ impl Service {
         Ok((frames, feed))
     }
 
-    /// Replica side: replaces all state with a streamed snapshot image.
-    /// Returns the LSN the record stream continues from.
-    pub fn install_replicated_snapshot(&self, bytes: &[u8]) -> Result<u64, String> {
+    /// The whole live state — database plus every view with its compiled
+    /// circuit — as one snapshot image stamped `lsn` (a replica bootstrap,
+    /// the shell's `save`). Views are exported before the database to match
+    /// the views → db edge the read path establishes; callers that need
+    /// the image to sit at an exact log position hold the store mutex.
+    pub fn snapshot_image(&self, lsn: u64) -> Vec<u8> {
+        let states = lock(&self.inner.views).export_states();
+        let db = Arc::clone(&read(&self.inner.db));
+        encode_snapshot(lsn, &db, &states)
+    }
+
+    /// Replaces all state with a snapshot image (a replica bootstrap, the
+    /// shell's `open`); views resume from their circuits without
+    /// recompiling. Returns the LSN the image was taken at.
+    pub fn install_snapshot(&self, bytes: &[u8]) -> Result<u64, String> {
         let (lsn, db, states) = decode_snapshot(bytes).map_err(|e| e.to_string())?;
         let views = ViewManager::import_states(states).map_err(|e| e.to_string())?;
         {
@@ -363,86 +392,6 @@ impl Service {
         // version keys need not be comparable across a wholesale swap.
         lock(&self.inner.cache).clear();
         Ok(lsn)
-    }
-
-    /// Replica side: applies one replicated mutation through exactly the
-    /// code paths the primary's own write commands use (mutate the
-    /// database, release the write lock, deliver the versioned view
-    /// event), so the replica's state — versions, staleness flags, f64 bit
-    /// patterns — tracks the primary's bit for bit.
-    pub fn apply_replicated(&self, op: &WalOp) -> Result<(), String> {
-        match op {
-            WalOp::Insert {
-                relation,
-                tuple,
-                prob,
-            } => {
-                let version = {
-                    let mut guard = write(&self.inner.db);
-                    let db = Arc::make_mut(&mut guard);
-                    db.insert(relation, tuple.clone(), *prob);
-                    db.relation_version(relation)
-                };
-                lock(&self.inner.views).on_insert(relation, version);
-                Ok(())
-            }
-            WalOp::UpdateProb {
-                relation,
-                tuple,
-                prob,
-            } => {
-                let t = Tuple::new(tuple.clone());
-                let version = {
-                    let mut guard = write(&self.inner.db);
-                    Arc::make_mut(&mut guard).update_prob(relation, &t, *prob)
-                };
-                match version {
-                    Some(v) => {
-                        lock(&self.inner.views).on_update_prob(relation, &t, *prob, v);
-                        Ok(())
-                    }
-                    None => Err(format!("replicated update of absent tuple in {relation}")),
-                }
-            }
-            WalOp::ExtendDomain { consts } => {
-                {
-                    let mut guard = write(&self.inner.db);
-                    Arc::make_mut(&mut guard).extend_domain(consts.clone());
-                }
-                lock(&self.inner.views).on_domain_extend();
-                Ok(())
-            }
-            WalOp::ViewCreate { name, def } => {
-                let def = match def {
-                    ViewDefState::Boolean(q) => ViewDef::boolean(q),
-                    ViewDefState::Answers { head, body } => ViewDef::answers(head, body),
-                }
-                .map_err(|e| e.to_string())?;
-                // Compile outside the manager lock: the build fans out on
-                // the pool, and a pool submit under this guard stalls every
-                // concurrent view/event path on it.
-                let opts = {
-                    let views = lock(&self.inner.views);
-                    views.options().clone()
-                };
-                let (db, built_at) = self.snapshot();
-                let view =
-                    ViewManager::compile(&opts, name, def, &db).map_err(|e| e.to_string())?;
-                let mut views = lock(&self.inner.views);
-                let (db_now, _) = self.snapshot();
-                views
-                    .install(view, built_at, &db_now)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
-            }
-            WalOp::ViewDrop { name } => {
-                if lock(&self.inner.views).drop_view(name) {
-                    Ok(())
-                } else {
-                    Err(format!("replicated drop of absent view {name}"))
-                }
-            }
-        }
     }
 
     /// True once the `shutdown` command has been accepted.
@@ -633,72 +582,30 @@ impl Service {
                 relation,
                 tuple,
                 prob,
-            } => {
-                // With a store, the store mutex is held across the whole
-                // mutation (apply → event → log); without one, mutate, read
-                // the new version, RELEASE the write lock, then deliver the
-                // event (see the module docs on lock ordering).
-                let mut store = self.store_guard();
-                let version = {
-                    let mut guard = write(&self.inner.db);
-                    let db = Arc::make_mut(&mut guard);
-                    db.insert(&relation, tuple.clone(), prob);
-                    db.relation_version(&relation)
-                };
-                lock(&self.inner.views).on_insert(&relation, version);
-                let logged = self.log_mutation(
-                    &mut store,
-                    WalOp::Insert {
-                        relation,
-                        tuple,
-                        prob,
-                    },
-                );
-                drop(store);
-                self.after_mutation(logged)
-            }
+            } => (
+                self.mutate(WalOp::Insert {
+                    relation,
+                    tuple,
+                    prob,
+                }),
+                true,
+            ),
             Command::Update {
                 relation,
                 tuple,
                 prob,
-            } => {
-                let mut store = self.store_guard();
-                let t = Tuple::new(tuple.clone());
-                let version = {
-                    let mut guard = write(&self.inner.db);
-                    Arc::make_mut(&mut guard).update_prob(&relation, &t, prob)
-                };
-                match version {
-                    Some(v) => {
-                        lock(&self.inner.views).on_update_prob(&relation, &t, prob, v);
-                        let logged = self.log_mutation(
-                            &mut store,
-                            WalOp::UpdateProb {
-                                relation,
-                                tuple,
-                                prob,
-                            },
-                        );
-                        drop(store);
-                        self.after_mutation(logged)
-                    }
-                    None => (format_update_missing(&relation, &tuple), true),
-                }
-            }
-            Command::Domain(consts) => {
-                let mut store = self.store_guard();
-                {
-                    let mut guard = write(&self.inner.db);
-                    Arc::make_mut(&mut guard).extend_domain(consts.clone());
-                }
-                lock(&self.inner.views).on_domain_extend();
-                let logged = self.log_mutation(&mut store, WalOp::ExtendDomain { consts });
-                drop(store);
-                self.after_mutation(logged)
-            }
+            } => (
+                self.mutate(WalOp::UpdateProb {
+                    relation,
+                    tuple,
+                    prob,
+                }),
+                true,
+            ),
+            Command::Domain(consts) => (self.mutate(WalOp::ExtendDomain { consts }), true),
             Command::View(cmd) => (self.run_view(cmd), true),
             Command::Show => {
-                let db = self.snapshot().0;
+                let db = self.db_snapshot();
                 (format!("{}", db.tuple_db()), true)
             }
             Command::Query(q) => (self.run_query(&q), true),
@@ -739,137 +646,110 @@ impl Service {
         }
     }
 
-    /// The store mutex guard, when a store is configured. Taken outermost
-    /// by every mutation (lock order: store → db → views).
-    fn store_guard(&self) -> Option<MutexGuard<'_, Store>> {
-        self.inner.store.as_ref().map(lock)
-    }
-
-    /// Appends `op` to the WAL when a store is configured, then fans it
-    /// out to connected replicas — still under the store mutex, so every
-    /// feed observes exact WAL order. `Ok(true)` means a checkpoint is now
-    /// due; `Err` carries the client-facing refusal (the store wedges and
-    /// the mutation is NOT acknowledged as durable, locally or remotely).
-    fn log_mutation(
-        &self,
-        store: &mut Option<MutexGuard<'_, Store>>,
-        op: WalOp,
-    ) -> Result<bool, String> {
-        match store.as_deref_mut() {
-            None => Ok(false),
-            Some(s) => match s.append(&op) {
-                Ok(lsn) => {
-                    if let Some(hub) = self.inner.replication.as_ref() {
-                        hub.publish(lsn, &op);
-                    }
-                    Ok(s.should_checkpoint())
-                }
-                Err(e) => Err(format!("error: mutation not persisted: {e}\n")),
+    /// Runs one write command: commits `op` and renders the reply.
+    fn mutate(&self, op: WalOp) -> String {
+        match self.commit(&op) {
+            Ok(created) => match &op {
+                WalOp::ViewDrop { name } => format!("view {name} dropped\n"),
+                _ => created.unwrap_or_default(),
             },
-        }
-    }
-
-    /// Turns a [`Self::log_mutation`] outcome into the protocol reply,
-    /// scheduling a background checkpoint when one is due. Must be called
-    /// with every lock released.
-    fn after_mutation(&self, logged: Result<bool, String>) -> (String, bool) {
-        match logged {
-            Ok(true) => {
-                let svc = self.clone();
-                // On a 1-thread pool this runs inline (no workers exist);
-                // either way `checkpoint_now` re-acquires the store lock
-                // itself, which is why the caller must have released it.
-                pdb_par::current().spawn_detached(move || svc.checkpoint_now());
-                (String::new(), true)
-            }
-            Ok(false) => (String::new(), true),
-            Err(e) => {
-                self.inner.stats.record_error();
-                (e, true)
-            }
-        }
-    }
-
-    /// A consistent `(contents, version)` snapshot.
-    fn snapshot(&self) -> (Arc<ProbDb>, u64) {
-        let guard = read(&self.inner.db);
-        (Arc::clone(&guard), guard.version())
-    }
-
-    /// Executes a `view` subcommand. For the mutating subcommands (create,
-    /// drop) the store mutex is taken first — same lock order as the data
-    /// mutations — so the definition change is WAL-logged atomically with
-    /// its application. The manager lock comes next; the database snapshot
-    /// is acquired (and its lock released) inside. Create is special: the
-    /// expensive compile runs against a snapshot *before* the manager lock
-    /// is taken (see the comment in its arm), and only the install happens
-    /// under it.
-    fn run_view(&self, cmd: ViewCommand) -> String {
-        let mut store = match cmd {
-            ViewCommand::Create { .. } | ViewCommand::Drop { .. } => self.store_guard(),
-            _ => None,
-        };
-        match cmd {
-            ViewCommand::Create { name, query } => {
-                let def_state = match &query {
-                    ViewQueryText::Boolean(q) => ViewDefState::Boolean(q.clone()),
-                    ViewQueryText::Answers { head, cq } => ViewDefState::Answers {
-                        head: head.clone(),
-                        body: cq.clone(),
+            Err(CommitError::Refused(refused)) => match (refused, &op) {
+                (
+                    Refused::AbsentTuple,
+                    WalOp::UpdateProb {
+                        relation, tuple, ..
                     },
-                };
-                let def = match query {
-                    ViewQueryText::Boolean(q) => ViewDef::boolean(&q),
-                    ViewQueryText::Answers { head, cq } => ViewDef::answers(&head, &cq),
-                };
-                let def = match def {
-                    Ok(d) => d,
-                    Err(e) => return format!("error: {e}\n"),
-                };
-                let start = Instant::now();
-                // Compile before taking the manager lock: the build fans
-                // row compilation out on the pool, and a pool submit under
-                // the views guard stalls every concurrent view/event path
-                // (and can deadlock against a pool whose waiters help). If
-                // the database moves between the compile snapshot and the
-                // install, the view is installed stale and the next refresh
-                // rebuilds it.
-                let (db, built_at) = self.snapshot();
-                let opts = {
-                    let views = lock(&self.inner.views);
-                    views.options().clone()
-                };
-                let compiled = ViewManager::compile(&opts, &name, def, &db);
-                let out = match compiled {
-                    Ok(view) => {
-                        let mut views = lock(&self.inner.views);
-                        let (db_now, _) = self.snapshot();
-                        match views.install(view, built_at, &db_now) {
-                            Ok(view) => {
-                                let created = format_view_created(view);
-                                match self.log_mutation(
-                                    &mut store,
-                                    WalOp::ViewCreate {
-                                        name,
-                                        def: def_state,
-                                    },
-                                ) {
-                                    Ok(_) => created,
-                                    Err(e) => e,
-                                }
-                            }
-                            Err(e) => format!("error: {e}\n"),
-                        }
-                    }
-                    Err(e) => format!("error: {e}\n"),
-                };
-                self.inner.stats.record_view_refresh(start.elapsed());
-                out
+                ) => format_update_missing(relation, tuple),
+                (Refused::AbsentView, WalOp::ViewDrop { name }) => {
+                    format!("error: no view named {name}\n")
+                }
+                (Refused::Engine(e), _) => format!("error: {e}\n"),
+                (refused, op) => format!("error: {op:?} refused: {refused:?}\n"),
+            },
+            Err(CommitError::NotPersisted(e)) => {
+                self.inner.stats.record_error();
+                format!("error: mutation not persisted: {e}\n")
             }
+        }
+    }
+
+    /// The one write path of a serving instance: store mutex → refuse if
+    /// the store is wedged → apply → append → publish → release → schedule
+    /// a checkpoint if one is due. The mutex spans the step so the log,
+    /// every replica feed and any checkpoint see mutations in one order;
+    /// the caller acknowledges only an `Ok`. A wedged store refuses
+    /// *before* anything is applied: state the log can no longer record
+    /// must not drift away from it. A refused op is not logged. Returns
+    /// the `view create` acknowledgement, if any.
+    fn commit(&self, op: &WalOp) -> Result<Option<String>, CommitError> {
+        let mut store = self.inner.store.as_ref().map(lock);
+        if let Some(s) = store.as_deref() {
+            s.ensure_ok().map_err(CommitError::NotPersisted)?;
+        }
+        let created = self.apply_mutation(op).map_err(CommitError::Refused)?;
+        let mut checkpoint_due = false;
+        if let Some(s) = store.as_deref_mut() {
+            let lsn = s.append(op).map_err(CommitError::NotPersisted)?;
+            if let Some(hub) = self.inner.replication.as_ref() {
+                hub.publish(lsn, op);
+            }
+            checkpoint_due = s.should_checkpoint();
+        }
+        drop(store);
+        if checkpoint_due {
+            let svc = self.clone();
+            // On a 1-thread pool this runs inline (no workers exist);
+            // either way `checkpoint_now` re-acquires the store lock
+            // itself, which is why it is released first.
+            pdb_par::current().spawn_detached(move || svc.checkpoint_now());
+        }
+        Ok(created)
+    }
+
+    /// Applies `op` to the served state — the only function that writes
+    /// the database. The database half runs under the write lock, which is
+    /// released before the view manager is locked for the event (see the
+    /// module docs on lock ordering). Returns the `view create`
+    /// acknowledgement, rendered while the new view is still borrowed.
+    fn apply_mutation(&self, op: &WalOp) -> Result<Option<String>, Refused> {
+        let pending = {
+            let mut guard: Option<RwLockWriteGuard<'_, Arc<ProbDb>>> = None;
+            pdb_store::apply_db(op, || Arc::make_mut(guard.insert(write(&self.inner.db))))
+        }?;
+        // A view is built before the manager lock is taken: the build fans
+        // row compilation out on the pool, and a pool submit under the
+        // views guard stalls every concurrent view/event path (and can
+        // deadlock against a pool whose waiters help). If the database
+        // moves between this snapshot and the install, the view goes in
+        // stale and the next refresh rebuilds it.
+        let event = pending.compile(|| {
+            let opts = {
+                let views = lock(&self.inner.views);
+                views.options().clone()
+            };
+            (opts, self.db_snapshot())
+        })?;
+        let mut views = lock(&self.inner.views);
+        let created = event.deliver(&mut views, || self.db_snapshot())?;
+        Ok(created.map(format_view_created))
+    }
+
+    /// Executes a `view` subcommand. `create` and `drop` are mutations and
+    /// go through [`Self::commit`]; the rest lock the manager, and `refresh`
+    /// snapshots the database inside that lock.
+    fn run_view(&self, cmd: ViewCommand) -> String {
+        match cmd {
+            ViewCommand::Create { name, def } => {
+                let start = Instant::now();
+                let reply = self.mutate(WalOp::ViewCreate { name, def });
+                self.inner.stats.record_view_refresh(start.elapsed());
+                reply
+            }
+            ViewCommand::Drop { name } => self.mutate(WalOp::ViewDrop { name }),
             ViewCommand::Refresh { name } => {
                 let mut views = lock(&self.inner.views);
                 let start = Instant::now();
-                let (db, _) = self.snapshot();
+                let db = self.db_snapshot();
                 let out = match name {
                     Some(name) => match views.refresh(&name, &db) {
                         Ok(outcome) => format_view_refreshed(&name, outcome),
@@ -891,17 +771,6 @@ impl Service {
                 };
                 self.inner.stats.record_view_refresh(start.elapsed());
                 out
-            }
-            ViewCommand::Drop { name } => {
-                let mut views = lock(&self.inner.views);
-                if views.drop_view(&name) {
-                    match self.log_mutation(&mut store, WalOp::ViewDrop { name: name.clone() }) {
-                        Ok(_) => format!("view {name} dropped\n"),
-                        Err(e) => e,
-                    }
-                } else {
-                    format!("error: no view named {name}\n")
-                }
             }
             ViewCommand::List => {
                 let views = lock(&self.inner.views);
@@ -969,7 +838,7 @@ impl Service {
         let (norm, db, key) = {
             let _parse = span(Stage::Parse);
             let norm = normalize_query(text);
-            let (db, _) = self.snapshot();
+            let db = self.db_snapshot();
             let key = (
                 CacheKind::Probability,
                 norm.clone(),
@@ -1067,7 +936,7 @@ impl Service {
             self.inner.stats.record_timeout();
             let mut degrade = span(Stage::Degrade);
             degrade.set_u64("samples", self.inner.opts.degraded_samples);
-            let (db_now, _) = self.snapshot();
+            let db_now = self.db_snapshot();
             return self.degraded_answer(&db_now, norm);
         }
         match rx.recv_timeout(timeout) {
@@ -1081,7 +950,7 @@ impl Service {
                 // normalized text).
                 let mut degrade = span(Stage::Degrade);
                 degrade.set_u64("samples", self.inner.opts.degraded_samples);
-                let (db_now, _) = self.snapshot();
+                let db_now = self.db_snapshot();
                 self.degraded_answer(&db_now, norm)
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(EngineError::Unsupported(
@@ -1132,7 +1001,7 @@ impl Service {
     }
 
     fn run_answers(&self, head: &[String], cq: &str) -> String {
-        let (db, _) = self.snapshot();
+        let db = self.db_snapshot();
         match pdb_logic::parse_cq(cq) {
             Ok(parsed) => {
                 let vars: Vec<pdb_logic::Var> =
@@ -1147,7 +1016,7 @@ impl Service {
     }
 
     fn run_open(&self, lambda: f64, query: &str) -> String {
-        let (db, _) = self.snapshot();
+        let db = self.db_snapshot();
         match pdb_logic::parse_fo(query) {
             Ok(fo) => match db.query_open_world(&fo, lambda, &QueryOptions::default()) {
                 Ok((lo, hi)) => format_open(&lo, &hi),
@@ -1249,22 +1118,28 @@ impl Service {
     }
 }
 
-/// The replication client applies its stream straight into the service, so
-/// a replica's in-memory state walks the exact mutation path the primary's
-/// did — the basis of the bit-identity guarantee.
+/// The replication client applies its stream straight into the service:
+/// a replica's state walks [`Service::apply_mutation`], the function the
+/// primary's own commits ran — the basis of the bit-identity guarantee. A
+/// refusal means the primary applied an op this replica cannot: divergence,
+/// which the client answers with a full re-bootstrap.
 impl pdb_replica::ReplicaApply for Service {
     fn install_snapshot(&self, bytes: &[u8]) -> Result<u64, String> {
-        self.install_replicated_snapshot(bytes)
+        Service::install_snapshot(self, bytes)
     }
 
-    fn apply(&self, _lsn: u64, op: &WalOp) -> Result<(), String> {
-        self.apply_replicated(op)
+    fn apply(&self, lsn: u64, op: &WalOp) -> Result<(), String> {
+        match self.apply_mutation(op) {
+            Ok(_) => Ok(()),
+            Err(refused) => Err(format!("replicated record {lsn} refused: {refused:?}")),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdb_replica::ReplicaApply;
 
     fn inline_opts() -> ServiceOptions {
         ServiceOptions {
@@ -1604,36 +1479,134 @@ mod tests {
     #[test]
     fn checkpoint_runs_in_the_background_and_truncates_the_log() {
         use pdb_store::{MemFs, StoreOptions};
-        let fs = Arc::new(MemFs::new());
+        const VIEW: &str = "view create v query exists x. exists y. R(x) & S(x,y)";
+        // `--checkpoint-every 3` is honoured whatever kind of op the third
+        // record is: every mutation reports "checkpoint due" through the
+        // same commit.
+        for (script, db_version) in [
+            (
+                ["insert R 1 0.5", "insert S 1 2 0.8", "update S 1 2 0.4"],
+                3,
+            ),
+            (["insert R 1 0.5", "insert S 1 2 0.8", "domain 7"], 3),
+            (["insert R 1 0.5", "insert S 1 2 0.8", VIEW], 2),
+            (["insert R 1 0.5", VIEW, "view drop v"], 1),
+        ] {
+            let fs = Arc::new(MemFs::new());
+            let dir = std::path::Path::new("data");
+            let sopts = StoreOptions {
+                checkpoint_every: 3,
+                ..StoreOptions::default()
+            };
+            let (store, rec) = Store::open(fs.clone(), dir, sopts.clone()).unwrap();
+            let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+            for line in script {
+                let (resp, _) = svc.handle_line(line);
+                assert!(!resp.starts_with("error"), "{line}: {resp}");
+            }
+            // The third append crossed the threshold and spawned a detached
+            // checkpoint; on a 1-thread pool it already ran inline, otherwise
+            // wait for the pool worker.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while svc.store_lsns() != Some((3, 3)) {
+                assert!(
+                    Instant::now() < deadline,
+                    "checkpoint never ran after {script:?}"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            drop(svc);
+            // Recovery now starts from the snapshot with an empty tail.
+            let (_store, rec) = Store::open(fs, dir, sopts).unwrap();
+            assert_eq!(rec.info.snapshot_lsn, 3, "{script:?}");
+            assert_eq!(rec.info.replayed_ops, 0, "{script:?}");
+            assert_eq!(rec.db.version(), db_version, "{script:?}");
+        }
+    }
+
+    /// The run-time guard on "logged before acknowledged", for each of the
+    /// five op kinds: when the WAL write of a command fails, that command is
+    /// refused, every later write is refused *without touching the served
+    /// state*, no replica hears of anything from the failed record on, and
+    /// recovery yields exactly the acknowledged prefix.
+    #[test]
+    fn a_failed_wal_write_wedges_the_service_at_the_acknowledged_prefix() {
+        use pdb_store::{FailpointFs, Fault, MemFs, StoreOptions};
+        const PRELUDE: [&str; 3] = [
+            "insert R 1 0.5",
+            "insert S 1 2 0.8",
+            "view create v query exists x. exists y. R(x) & S(x,y)",
+        ];
+        const WRITES: [&str; 5] = [
+            "insert R 2 0.25",
+            "update S 1 2 0.4",
+            "domain 7 8",
+            "view create w query exists x. R(x)",
+            "view drop v",
+        ];
+        const READS: [&str; 4] = ["show", "view list", "view show v", "view show w"];
+        let read_all = |svc: &Service| READS.map(|line| svc.handle_line(line).0);
         let dir = std::path::Path::new("data");
-        let sopts = StoreOptions {
-            checkpoint_every: 3,
-            ..StoreOptions::default()
-        };
-        let (store, rec) = Store::open(fs.clone(), dir, sopts.clone()).unwrap();
-        let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
-        svc.handle_line("insert R 1 0.5");
-        svc.handle_line("insert S 1 2 0.8");
-        svc.handle_line("update S 1 2 0.4");
-        // The third append crossed the threshold and spawned a detached
-        // checkpoint; on a 1-thread pool it already ran inline, otherwise
-        // wait for the pool worker.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if let Some((base, _)) = svc.store_lsns() {
-                if base == 3 {
-                    break;
+        for failing in WRITES {
+            let fs = FailpointFs::new(Arc::new(MemFs::new()));
+            let (store, rec) =
+                Store::open(Arc::new(fs.clone()), dir, StoreOptions::default()).unwrap();
+            let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+            let (_, feed) = svc.replication_sync(0).unwrap();
+            for line in PRELUDE {
+                let (resp, _) = svc.handle_line(line);
+                assert!(!resp.starts_with("error"), "{line}: {resp}");
+            }
+            let acked = read_all(&svc);
+
+            // `inject` restarts the write count: the next WAL write tears.
+            fs.inject(Fault::TornWrite { at: 0, keep: 5 });
+            let (resp, keep) = svc.handle_line(failing);
+            assert!(
+                resp.starts_with("error: mutation not persisted"),
+                "{failing}: {resp}"
+            );
+            assert!(keep, "a refused write must not close the session");
+            assert!(fs.triggered());
+            assert!(svc.stats_text().contains("errors=1"), "{failing}");
+
+            // Wedged: every write of every kind is refused and leaves what
+            // readers see byte-identical.
+            let wedged = read_all(&svc);
+            for line in WRITES {
+                let (resp, _) = svc.handle_line(line);
+                assert!(
+                    resp.starts_with("error: mutation not persisted"),
+                    "{line} after failed {failing}: {resp}"
+                );
+                assert_eq!(
+                    read_all(&svc),
+                    wedged,
+                    "{line} after failed {failing} changed the served state"
+                );
+            }
+            assert!(svc.stats_text().contains("errors=6"), "{failing}");
+
+            // The feed carries the acknowledged records and nothing after.
+            let mut streamed = Vec::new();
+            while let Ok(Some(frame)) = feed.try_recv() {
+                match frame {
+                    Frame::Record { lsn, .. } => streamed.push(lsn),
+                    other => panic!("unexpected frame after failed {failing}: {other:?}"),
                 }
             }
-            assert!(Instant::now() < deadline, "checkpoint never ran");
-            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(streamed, [0, 1, 2], "{failing}");
+
+            // Restart: the torn tail is dropped and exactly the
+            // acknowledged prefix comes back.
+            drop(svc);
+            fs.disarm();
+            let (store, rec) = Store::open(Arc::new(fs), dir, StoreOptions::default()).unwrap();
+            assert_eq!(rec.info.replayed_ops, 3, "{failing}");
+            assert!(rec.info.truncated_bytes > 0, "{failing}");
+            let recovered = Service::with_store(rec.db, rec.views, store, inline_opts());
+            assert_eq!(read_all(&recovered), acked, "{failing}");
         }
-        drop(svc);
-        // Recovery now starts from the snapshot with an empty tail.
-        let (_store, rec) = Store::open(fs, dir, sopts).unwrap();
-        assert_eq!(rec.info.snapshot_lsn, 3);
-        assert_eq!(rec.info.replayed_ops, 0);
-        assert_eq!(rec.db.version(), 3);
     }
 
     #[test]
@@ -1723,12 +1696,12 @@ mod tests {
             assert!(keep, "a refused write must not close the session");
         }
         // State arrives via the replication path instead.
-        svc.apply_replicated(&WalOp::Insert {
+        let insert = WalOp::Insert {
             relation: "R".into(),
             tuple: vec![1],
             prob: 0.5,
-        })
-        .unwrap();
+        };
+        ReplicaApply::apply(&svc, 0, &insert).unwrap();
         let (resp, _) = svc.handle_line("query exists x. R(x)");
         assert!(resp.contains("p = 0.500000"), "{resp}");
         let stats = svc.stats_text();
@@ -1793,24 +1766,19 @@ mod tests {
         // Primary with two tuples and a view.
         let primary = seeded_service(inline_opts());
         primary.handle_line("view create v query exists x. exists y. R(x) & S(x,y)");
-        let image = {
-            let states = lock(&primary.inner.views).export_states();
-            let db = primary.snapshot().0;
-            encode_snapshot(7, &db, &states)
-        };
+        let image = primary.snapshot_image(7);
         // Replica starts empty, installs the image, then applies a record.
         let status = Arc::new(ReplicaStatus::new());
         let replica = Service::new_replica("nowhere:0", status, inline_opts());
-        assert_eq!(replica.install_replicated_snapshot(&image).unwrap(), 7);
+        assert_eq!(replica.install_snapshot(&image).unwrap(), 7);
         let (shown, _) = replica.handle_line("view show v");
         assert!(shown.contains("p = 0.400000"), "{shown}");
-        replica
-            .apply_replicated(&WalOp::UpdateProb {
-                relation: "S".into(),
-                tuple: vec![1, 2],
-                prob: 0.4,
-            })
-            .unwrap();
+        let update = WalOp::UpdateProb {
+            relation: "S".into(),
+            tuple: vec![1, 2],
+            prob: 0.4,
+        };
+        ReplicaApply::apply(&replica, 7, &update).unwrap();
         let (q, _) = replica.handle_line(Q);
         assert!(q.contains("p = 0.200000"), "{q}");
         // The view absorbed the replicated update incrementally too.

@@ -13,6 +13,8 @@
 //!   circuit* serialize to `snapshot-<lsn>.pdb`; the log is then rewritten
 //!   from that LSN (compaction). Recovery = newest valid snapshot + WAL
 //!   replay; views resume incremental maintenance without recompiling.
+//! * **Apply** ([`apply`]) — the one function that folds a logged op into
+//!   the engine state; live commands, replicas and recovery all run it.
 //! * **Fault injection** ([`fs`]) — all I/O goes through a [`StoreFs`]
 //!   trait; [`FailpointFs`] injects torn writes, bit flips, failed fsyncs,
 //!   and halts at any write boundary so tests can prove recovery always
@@ -28,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod apply;
 pub mod codec;
 pub mod crc;
 pub mod fs;
@@ -36,6 +39,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
+pub use apply::{apply_db, apply_op, Pending, Refused, ViewEvent};
 pub use fs::{FailpointFs, Fault, MemFs, RealFs, StoreFile, StoreFs};
 pub use store::{FsyncPolicy, Recovered, RecoveryInfo, Store, StoreOptions};
 pub use wal::{WalFollower, WalOp, WalRecord};

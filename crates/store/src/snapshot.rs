@@ -25,12 +25,12 @@
 
 use crate::codec::{CodecError, Dec, Enc};
 use crate::crc::crc32;
-use crate::wal::WalOp;
+use crate::wal::{decode_view_def, encode_view_def};
 use crate::StoreError;
 use pdb_compile::ddnnf::DdnnfNode;
 use pdb_core::{Method, ProbDb};
 use pdb_data::{Tuple, TupleDb};
-use pdb_views::persist::{CircuitState, RowState, ViewDefState, ViewState};
+use pdb_views::persist::{CircuitState, RowState, ViewState};
 use std::collections::BTreeMap;
 
 /// Magic bytes opening every snapshot file.
@@ -212,21 +212,7 @@ fn decode_circuit(d: &mut Dec<'_>) -> Result<CircuitState, CodecError> {
 
 fn encode_view(e: &mut Enc, v: &ViewState) {
     e.str(&v.name);
-    // Reuse the WAL's view-definition encoding via a synthetic create op.
-    match &v.def {
-        ViewDefState::Boolean(text) => {
-            e.u8(0);
-            e.str(text);
-        }
-        ViewDefState::Answers { head, body } => {
-            e.u8(1);
-            e.u32(head.len() as u32);
-            for h in head {
-                e.str(h);
-            }
-            e.str(body);
-        }
-    }
+    encode_view_def(e, &v.def);
     e.u32(v.applied.len() as u32);
     for (name, ver) in &v.applied {
         e.str(name);
@@ -273,26 +259,7 @@ fn encode_view(e: &mut Enc, v: &ViewState) {
 fn decode_view(d: &mut Dec<'_>) -> Result<ViewState, CodecError> {
     let name = d.str("view name")?;
     let at = d.pos();
-    let def = match d.u8("view def tag")? {
-        0 => ViewDefState::Boolean(d.str("view query")?),
-        1 => {
-            let n = d.seq_len(4, "view head")?;
-            let mut head = Vec::with_capacity(n);
-            for _ in 0..n {
-                head.push(d.str("view head var")?);
-            }
-            ViewDefState::Answers {
-                head,
-                body: d.str("view body")?,
-            }
-        }
-        _ => {
-            return Err(CodecError {
-                at,
-                what: "unknown view def tag",
-            })
-        }
-    };
+    let def = decode_view_def(d)?;
     let napplied = d.seq_len(12, "applied count")?;
     let mut applied = Vec::with_capacity(napplied);
     for _ in 0..napplied {
@@ -431,54 +398,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, ProbDb, Vec<ViewState>), St
     Ok((lsn, db, views))
 }
 
-/// Applies one logged op to the in-memory engine state — the single replay
-/// function shared by recovery, the service's live mutation path (which
-/// applies then logs), and tests' reference replays. Apply-then-log plus
-/// this shared function is what makes "recovered state = replay of the
-/// logged prefix" an identity, not an approximation.
-pub fn apply_op(
-    op: &WalOp,
-    db: &mut ProbDb,
-    views: &mut pdb_views::ViewManager,
-) -> Result<(), StoreError> {
-    match op {
-        WalOp::Insert {
-            relation,
-            tuple,
-            prob,
-        } => {
-            db.insert(relation, tuple.clone(), *prob);
-            views.on_insert(relation, db.relation_version(relation));
-        }
-        WalOp::UpdateProb {
-            relation,
-            tuple,
-            prob,
-        } => {
-            let t = Tuple::new(tuple.clone());
-            if let Some(version) = db.update_prob(relation, &t, *prob) {
-                views.on_update_prob(relation, &t, *prob, version);
-            }
-        }
-        WalOp::ExtendDomain { consts } => {
-            db.extend_domain(consts.iter().copied());
-            views.on_domain_extend();
-        }
-        WalOp::ViewCreate { name, def } => {
-            let parsed = match def {
-                ViewDefState::Boolean(text) => pdb_views::ViewDef::boolean(text),
-                ViewDefState::Answers { head, body } => pdb_views::ViewDef::answers(head, body),
-            }
-            .map_err(StoreError::Engine)?;
-            views.create(name, parsed, db).map_err(StoreError::Engine)?;
-        }
-        WalOp::ViewDrop { name } => {
-            views.drop_view(name);
-        }
-    }
-    Ok(())
-}
-
 // Exercised further by the crate-level store tests and
 // `tests/store_recovery.rs`; the round-trip below pins the codec itself.
 #[cfg(test)]
@@ -559,55 +478,5 @@ mod tests {
             bad[byte] ^= 0x40;
             assert!(decode_snapshot(&bad).is_err(), "flip at {byte} undetected");
         }
-    }
-
-    #[test]
-    fn replay_matches_direct_execution() {
-        let ops = [
-            WalOp::Insert {
-                relation: "R".into(),
-                tuple: vec![1],
-                prob: 0.5,
-            },
-            WalOp::Insert {
-                relation: "S".into(),
-                tuple: vec![1, 2],
-                prob: 0.8,
-            },
-            WalOp::ViewCreate {
-                name: "v".into(),
-                def: ViewDefState::Boolean("exists x. exists y. R(x) & S(x,y)".into()),
-            },
-            WalOp::UpdateProb {
-                relation: "S".into(),
-                tuple: vec![1, 2],
-                prob: 0.4,
-            },
-            WalOp::UpdateProb {
-                relation: "S".into(),
-                tuple: vec![9, 9],
-                prob: 0.4, // not a possible tuple: must be a no-op
-            },
-            WalOp::ExtendDomain { consts: vec![4] },
-        ];
-        let mut db = ProbDb::new();
-        let mut views = ViewManager::new();
-        for op in &ops {
-            apply_op(op, &mut db, &mut views).unwrap();
-        }
-        let expect = db
-            .query("exists x. exists y. R(x) & S(x,y)")
-            .unwrap()
-            .probability;
-        let got = views
-            .get("v")
-            .unwrap()
-            .boolean_answer()
-            .unwrap()
-            .probability;
-        assert_eq!(got.to_bits(), expect.to_bits());
-        // 2 inserts + 1 successful update + 1 domain extension; the
-        // impossible-tuple update must not bump any version.
-        assert_eq!(db.version(), 4, "failed update must not bump versions");
     }
 }

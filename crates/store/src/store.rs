@@ -9,7 +9,7 @@
 //! 4. If `base_lsn > 0`, load `snapshot-<base_lsn>.pdb` (checksummed);
 //!    its embedded LSN must equal `base_lsn`. Views resume from their
 //!    persisted circuits — no recompilation.
-//! 5. Replay the WAL records through [`crate::snapshot::apply_op`].
+//! 5. Replay the WAL records through [`crate::apply::apply_op`].
 //! 6. Delete snapshots other than `base_lsn` (leftovers of checkpoints
 //!    that crashed between their two renames).
 //!
@@ -27,8 +27,9 @@
 //! header carries `base_lsn`: the log itself names the snapshot it
 //! continues from, and orphaned snapshots are harmless.
 
+use crate::apply::apply_op;
 use crate::fs::{StoreFile, StoreFs};
-use crate::snapshot::{apply_op, decode_snapshot, encode_snapshot};
+use crate::snapshot::{decode_snapshot, encode_snapshot};
 use crate::wal::{encode_header, encode_record, read_wal, WalFollower, WalOp, WAL_HEADER_LEN};
 use crate::StoreError;
 use pdb_core::ProbDb;
@@ -233,11 +234,11 @@ impl Store {
     }
 
     /// Logs one mutation, returning its LSN. The caller must have already
-    /// applied the op to the in-memory state (apply-then-log): a failed
-    /// append wedges the store and the op is reported as an error to the
-    /// client, so the logged prefix is always a prefix of the acknowledged
-    /// sequence. Under [`FsyncPolicy::Always`] the record is durable when
-    /// this returns `Ok`.
+    /// applied the op to the in-memory state (apply-then-log, after a
+    /// passing [`Store::ensure_ok`]): a failed append wedges the store and
+    /// the op is reported as an error to the client, so the logged prefix
+    /// is always a prefix of the acknowledged sequence. Under
+    /// [`FsyncPolicy::Always`] the record is durable when this returns `Ok`.
     pub fn append(&mut self, op: &WalOp) -> Result<u64, StoreError> {
         self.ensure_ok()?;
         let lsn = self.next_lsn;
@@ -355,10 +356,16 @@ impl Store {
         self.next_lsn - self.base_lsn
     }
 
-    /// True after a failed write: every further mutation is refused until
-    /// the store is reopened (recovery re-establishes a consistent prefix).
-    pub fn is_wedged(&self) -> bool {
-        self.wedged
+    /// `Err(Wedged)` after a failed write: every further mutation is refused
+    /// until the store is reopened (recovery re-establishes a consistent
+    /// prefix). The caller applies before it logs, so it asks first: a
+    /// mutation the log can no longer take must not reach memory either.
+    pub fn ensure_ok(&self) -> Result<(), StoreError> {
+        if self.wedged {
+            Err(StoreError::Wedged)
+        } else {
+            Ok(())
+        }
     }
 
     /// Cumulative counters.
@@ -370,14 +377,6 @@ impl Store {
     /// plus every record appended since the last checkpoint.
     pub fn wal_header_len() -> u64 {
         WAL_HEADER_LEN
-    }
-
-    fn ensure_ok(&self) -> Result<(), StoreError> {
-        if self.wedged {
-            Err(StoreError::Wedged)
-        } else {
-            Ok(())
-        }
     }
 
     fn sync_wal(&mut self) -> Result<(), StoreError> {
@@ -649,8 +648,8 @@ mod tests {
             }
         }
         assert!(fs.triggered());
-        assert!(store.is_wedged());
         // Once wedged, everything is refused.
+        assert!(matches!(store.ensure_ok(), Err(StoreError::Wedged)));
         assert!(matches!(store.append(&ops[0]), Err(StoreError::Wedged)));
         assert!(matches!(store.flush(), Err(StoreError::Wedged)));
         drop(store);
@@ -697,7 +696,7 @@ mod tests {
         fs.inject(Fault::FailSync { at: 0 });
         let op = WalOp::ExtendDomain { consts: vec![1] };
         assert!(store.append(&op).is_err());
-        assert!(store.is_wedged());
+        assert!(matches!(store.ensure_ok(), Err(StoreError::Wedged)));
     }
 
     #[test]

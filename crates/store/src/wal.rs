@@ -93,6 +93,48 @@ fn decode_u64s(d: &mut Dec<'_>, what: &'static str) -> Result<Vec<u64>, CodecErr
     Ok(out)
 }
 
+/// Encodes a view definition — one layout, shared by `view create` records
+/// and the views inside a snapshot.
+pub(crate) fn encode_view_def(e: &mut Enc, def: &ViewDefState) {
+    match def {
+        ViewDefState::Boolean(text) => {
+            e.u8(0);
+            e.str(text);
+        }
+        ViewDefState::Answers { head, body } => {
+            e.u8(1);
+            e.u32(head.len() as u32);
+            for h in head {
+                e.str(h);
+            }
+            e.str(body);
+        }
+    }
+}
+
+/// Decodes a view definition (see [`encode_view_def`]).
+pub(crate) fn decode_view_def(d: &mut Dec<'_>) -> Result<ViewDefState, CodecError> {
+    let at = d.pos();
+    match d.u8("view def tag")? {
+        0 => Ok(ViewDefState::Boolean(d.str("view query")?)),
+        1 => {
+            let n = d.seq_len(4, "view head")?;
+            let mut head = Vec::with_capacity(n);
+            for _ in 0..n {
+                head.push(d.str("view head var")?);
+            }
+            Ok(ViewDefState::Answers {
+                head,
+                body: d.str("view body")?,
+            })
+        }
+        _ => Err(CodecError {
+            at,
+            what: "unknown view def tag",
+        }),
+    }
+}
+
 /// Encodes one op (tag + fields) into `e`.
 pub fn encode_op(e: &mut Enc, op: &WalOp) {
     match op {
@@ -123,20 +165,7 @@ pub fn encode_op(e: &mut Enc, op: &WalOp) {
         WalOp::ViewCreate { name, def } => {
             e.u8(TAG_VIEW_CREATE);
             e.str(name);
-            match def {
-                ViewDefState::Boolean(text) => {
-                    e.u8(0);
-                    e.str(text);
-                }
-                ViewDefState::Answers { head, body } => {
-                    e.u8(1);
-                    e.u32(head.len() as u32);
-                    for h in head {
-                        e.str(h);
-                    }
-                    e.str(body);
-                }
-            }
+            encode_view_def(e, def);
         }
         WalOp::ViewDrop { name } => {
             e.u8(TAG_VIEW_DROP);
@@ -164,26 +193,7 @@ pub fn decode_op(d: &mut Dec<'_>) -> Result<WalOp, CodecError> {
         }),
         TAG_VIEW_CREATE => {
             let name = d.str("view name")?;
-            let def = match d.u8("view def tag")? {
-                0 => ViewDefState::Boolean(d.str("view query")?),
-                1 => {
-                    let n = d.seq_len(4, "view head")?;
-                    let mut head = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        head.push(d.str("view head var")?);
-                    }
-                    ViewDefState::Answers {
-                        head,
-                        body: d.str("view body")?,
-                    }
-                }
-                _ => {
-                    return Err(CodecError {
-                        at,
-                        what: "unknown view def tag",
-                    })
-                }
-            };
+            let def = decode_view_def(d)?;
             Ok(WalOp::ViewCreate { name, def })
         }
         TAG_VIEW_DROP => Ok(WalOp::ViewDrop {

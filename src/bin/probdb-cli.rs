@@ -15,249 +15,92 @@
 //! Also accepts a script on stdin (`probdb-cli < script.pdb`) and
 //! `source <file>` inside the shell.
 //!
-//! The command language (parser, help text, answer formatting) lives in
-//! [`probdb::server::protocol`] and is shared with the TCP server
-//! (`probdb-serve`), so both front ends accept identical input and print
-//! identical answers.
+//! The shell is a front end to the same [`probdb::server::Service`] that
+//! `probdb-serve` puts behind TCP: every line is handed to it, so both
+//! accept identical input and print identical bytes — including `stats`,
+//! `explain analyze`, `trace last`, `slowlog` and `metrics`. Only `save`,
+//! `open`, `source` and `wal inspect`, which read or write local files and
+//! are refused over the wire, are implemented here.
 
-use probdb::server::protocol::{
-    format_answer, format_answer_tuples, format_complexity, format_open, format_update_missing,
-    format_view_created, format_view_list, format_view_refreshed, format_view_show, parse_command,
-    Command, ViewCommand, ViewQueryText, HELP,
-};
-use probdb::views::{ViewDef, ViewManager};
-use probdb::{ProbDb, QueryOptions};
+use probdb::server::protocol::{parse_command, Command};
+use probdb::server::{Service, ServiceOptions};
+use probdb::ProbDb;
 use std::io::{BufRead, Write};
 
-/// Executes one command against the engine. Returns false to quit.
+/// The shell's engine: the server's own [`Service`], in process — no
+/// store, and no query timeout, so every answer is computed inline and in
+/// full. Whatever `probdb-serve` would reply to a line, the shell prints.
+fn shell_service() -> Service {
+    Service::new(
+        ProbDb::new(),
+        ServiceOptions {
+            query_timeout: std::time::Duration::ZERO,
+            ..ServiceOptions::default()
+        },
+    )
+}
+
+/// Executes one input line. Returns false to quit.
 ///
-/// Mutations are mirrored into the [`ViewManager`] via the versioned event
-/// protocol, exactly like `probdb-serve` does, so materialized views stay
-/// maintained in the shell too.
-fn execute(
-    cmd: Command,
-    db: &mut ProbDb,
-    views: &mut ViewManager,
-    out: &mut dyn Write,
-) -> std::io::Result<bool> {
-    match cmd {
-        Command::Nothing => {}
-        Command::Quit => return Ok(false),
-        Command::Help => writeln!(out, "{HELP}")?,
-        Command::Stats => writeln!(
-            out,
-            "stats are tracked by probdb-serve; this CLI keeps no counters"
-        )?,
-        Command::Metrics => {
-            // Same registry the server scrapes: register every crate's
-            // families (idempotent), mirror externally-tracked stats, and
-            // render the Prometheus text exposition for this process.
-            probdb::store::metrics::register();
-            probdb::replica::metrics::register();
-            probdb::kernel::metrics::register();
-            probdb::views::metrics::register();
-            probdb::par::metrics::register();
-            probdb::kernel::metrics::publish();
-            probdb::par::metrics::publish(&probdb::par::current().stats());
-            probdb::views::metrics::publish(views.len());
-            write!(out, "{}", probdb::obs::render())?;
-        }
-        Command::ExplainAnalyze(q) => {
-            // Trace the evaluation locally: the engine stages inside
-            // `db.query` record themselves under this root span.
-            let tracer = probdb::obs::Tracer::new();
-            let result = probdb::obs::with_tracer(&tracer, || {
-                let mut root = probdb::obs::span(probdb::obs::Stage::Query);
-                root.set_str("query", q.clone());
-                let r = db.query(&q);
-                if let Ok(a) = &r {
-                    root.set_str("engine", format!("{:?}", a.method));
-                }
-                r
-            });
-            match result {
-                Ok(a) => write!(out, "{}", format_answer(&a))?,
-                Err(e) => writeln!(out, "error: {e}")?,
-            }
-            write!(out, "{}", tracer.render_text())?;
-        }
-        Command::TraceLast { .. } => writeln!(
-            out,
-            "traces are kept by probdb-serve; use `explain analyze <query>` here"
-        )?,
-        Command::Slowlog => writeln!(
-            out,
-            "the slowlog is kept by probdb-serve (start it with --slowlog-threshold)"
-        )?,
-        Command::Insert {
-            relation,
-            tuple,
-            prob,
-        } => {
-            db.insert(&relation, tuple, prob);
-            views.on_insert(&relation, db.relation_version(&relation));
-        }
-        Command::Update {
-            relation,
-            tuple,
-            prob,
-        } => {
-            let t = probdb::data::Tuple::new(tuple.clone());
-            match db.update_prob(&relation, &t, prob) {
-                Some(version) => {
-                    views.on_update_prob(&relation, &t, prob, version);
-                }
-                None => write!(out, "{}", format_update_missing(&relation, &tuple))?,
-            }
-        }
-        Command::View(cmd) => execute_view(cmd, db, views, out)?,
-        Command::Domain(consts) => {
-            db.extend_domain(consts);
-            views.on_domain_extend();
-        }
-        Command::Show => write!(out, "{}", db.tuple_db())?,
-        Command::Query(q) => match db.query(&q) {
-            Ok(a) => write!(out, "{}", format_answer(&a))?,
-            Err(e) => writeln!(out, "error: {e}")?,
-        },
-        Command::Answers { head, cq } => match probdb::logic::parse_cq(&cq) {
-            Ok(parsed) => {
-                let vars: Vec<probdb::logic::Var> =
-                    head.iter().map(|v| probdb::logic::Var::new(v)).collect();
-                match db.query_answers(&parsed, &vars, &QueryOptions::default()) {
-                    Ok(answers) => write!(out, "{}", format_answer_tuples(&head, &answers))?,
-                    Err(e) => writeln!(out, "error: {e}")?,
-                }
-            }
-            Err(e) => writeln!(out, "parse error: {e}")?,
-        },
-        Command::Classify(q) => match probdb::logic::parse_ucq(&q) {
-            Ok(ucq) => writeln!(out, "{}", format_complexity(db.classify(&ucq)))?,
-            Err(e) => writeln!(out, "parse error: {e}")?,
-        },
-        Command::OpenWorld { lambda, query } => match probdb::logic::parse_fo(&query) {
-            Ok(fo) => match db.query_open_world(&fo, lambda, &QueryOptions::default()) {
-                Ok((lo, hi)) => write!(out, "{}", format_open(&lo, &hi))?,
-                Err(e) => writeln!(out, "error: {e}")?,
-            },
-            Err(e) => writeln!(out, "parse error: {e}")?,
-        },
-        Command::Save(path) => {
-            let states = views.export_states();
-            let bytes = probdb::store::snapshot::encode_snapshot(db.version(), db, &states);
-            match std::fs::write(&path, bytes) {
-                Ok(()) => writeln!(
-                    out,
-                    "saved {} tuple(s), {} view(s) to {path}",
-                    db.tuple_db().tuple_count(),
-                    states.len()
-                )?,
-                Err(e) => writeln!(out, "error: cannot write {path}: {e}")?,
-            }
-        }
-        Command::Open(path) => match std::fs::read(&path) {
-            Ok(bytes) => match probdb::store::snapshot::decode_snapshot(&bytes) {
-                Ok((_lsn, opened_db, states)) => {
-                    let view_count = states.len();
-                    match ViewManager::import_states(states) {
-                        Ok(opened_views) => {
-                            // Replace the whole session state; restored
-                            // views keep their compiled circuits, so they
-                            // resume incremental maintenance immediately.
-                            *db = opened_db;
-                            *views = opened_views;
-                            writeln!(
-                                out,
-                                "opened {path}: {} tuple(s), {view_count} view(s)",
-                                db.tuple_db().tuple_count()
-                            )?;
-                        }
-                        Err(e) => writeln!(out, "error: cannot restore views from {path}: {e}")?,
-                    }
-                }
-                Err(e) => writeln!(out, "error: {path} is not a probdb snapshot: {e}")?,
-            },
-            Err(e) => writeln!(out, "error: cannot read {path}: {e}")?,
-        },
-        Command::Shutdown => {
-            writeln!(out, "shutdown stops probdb-serve; this CLI exits with quit")?
-        }
-        Command::WalInspect(path) => inspect_wal(&path, out)?,
-        Command::Source(path) => match std::fs::read_to_string(&path) {
+/// Only the four commands that touch the local filesystem — which the wire
+/// refuses for exactly that reason — are handled here; every other line is
+/// the service's to parse, run and render.
+fn execute(line: &str, svc: &Service, out: &mut dyn Write) -> std::io::Result<bool> {
+    match parse_command(line) {
+        Ok(Command::Save(path)) => save(&path, svc, out)?,
+        Ok(Command::Open(path)) => open(&path, svc, out)?,
+        Ok(Command::WalInspect(path)) => inspect_wal(&path, out)?,
+        Ok(Command::Source(path)) => match std::fs::read_to_string(&path) {
             Ok(content) => {
                 for line in content.lines() {
-                    match parse_command(line) {
-                        Ok(cmd) => {
-                            if !execute(cmd, db, views, out)? {
-                                return Ok(false);
-                            }
-                        }
-                        Err(e) => writeln!(out, "error in {path}: {e}")?,
+                    if !execute(line, svc, out)? {
+                        return Ok(false);
                     }
                 }
             }
             Err(e) => writeln!(out, "cannot read {path}: {e}")?,
         },
+        _ => {
+            let (reply, keep_open) = svc.handle_line(line);
+            out.write_all(reply.as_bytes())?;
+            return Ok(keep_open);
+        }
     }
     Ok(true)
 }
 
-/// Runs one `view …` subcommand, printing exactly what `probdb-serve`
-/// would return for the same line (both use the shared formatters).
-fn execute_view(
-    cmd: ViewCommand,
-    db: &ProbDb,
-    views: &mut ViewManager,
-    out: &mut dyn Write,
-) -> std::io::Result<()> {
-    match cmd {
-        ViewCommand::Create { name, query } => {
-            let def = match query {
-                ViewQueryText::Boolean(q) => ViewDef::boolean(&q),
-                ViewQueryText::Answers { head, cq } => ViewDef::answers(&head, &cq),
-            };
-            match def {
-                Ok(def) => match views.create(&name, def, db) {
-                    Ok(view) => write!(out, "{}", format_view_created(view))?,
-                    Err(e) => writeln!(out, "error: {e}")?,
-                },
-                Err(e) => writeln!(out, "error: {e}")?,
-            }
-        }
-        ViewCommand::Refresh { name } => match name {
-            Some(name) => match views.refresh(&name, db) {
-                Ok(outcome) => write!(out, "{}", format_view_refreshed(&name, outcome))?,
-                Err(e) => writeln!(out, "error: {e}")?,
-            },
-            None => {
-                if views.is_empty() {
-                    writeln!(out, "(no views)")?;
-                } else {
-                    match views.refresh_all(db) {
-                        Ok(outcomes) => {
-                            for (n, o) in &outcomes {
-                                write!(out, "{}", format_view_refreshed(n, *o))?;
-                            }
-                        }
-                        Err(e) => writeln!(out, "error: {e}")?,
-                    }
-                }
-            }
-        },
-        ViewCommand::Drop { name } => {
-            if views.drop_view(&name) {
-                writeln!(out, "view {name} dropped")?;
-            } else {
-                writeln!(out, "error: no view named {name}")?;
-            }
-        }
-        ViewCommand::List => write!(out, "{}", format_view_list(views.iter()))?,
-        ViewCommand::Show { name } => match views.get(&name) {
-            Some(view) => write!(out, "{}", format_view_show(view))?,
-            None => writeln!(out, "error: no view named {name}")?,
-        },
+/// Implements `save <path>`: the whole session — tuples, versions, views
+/// with their compiled circuits — as one snapshot file, the same image a
+/// replica bootstraps from.
+fn save(path: &str, svc: &Service, out: &mut dyn Write) -> std::io::Result<()> {
+    match std::fs::write(path, svc.snapshot_image(svc.db_version())) {
+        Ok(()) => writeln!(
+            out,
+            "saved {} tuple(s), {} view(s) to {path}",
+            svc.db_snapshot().tuple_db().tuple_count(),
+            svc.view_count()
+        ),
+        Err(e) => writeln!(out, "error: cannot write {path}: {e}"),
     }
-    Ok(())
+}
+
+/// Implements `open <path>`: replaces the whole session state with a saved
+/// snapshot. Restored views keep their compiled circuits, so they resume
+/// incremental maintenance immediately.
+fn open(path: &str, svc: &Service, out: &mut dyn Write) -> std::io::Result<()> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) => return writeln!(out, "error: cannot read {path}: {e}"),
+    };
+    match svc.install_snapshot(&bytes) {
+        Ok(_lsn) => writeln!(
+            out,
+            "opened {path}: {} tuple(s), {} view(s)",
+            svc.db_snapshot().tuple_db().tuple_count(),
+            svc.view_count()
+        ),
+        Err(e) => writeln!(out, "error: {path} is not a probdb snapshot: {e}"),
+    }
 }
 
 /// Implements `wal inspect <path>`: decodes a write-ahead log (the `wal`
@@ -325,8 +168,7 @@ fn describe_wal_op(op: &probdb::store::WalOp) -> String {
 }
 
 fn main() -> std::io::Result<()> {
-    let mut db = ProbDb::new();
-    let mut views = ViewManager::new();
+    let svc = shell_service();
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
     let interactive = std::env::args().all(|a| a != "--batch");
@@ -342,13 +184,8 @@ fn main() -> std::io::Result<()> {
         if stdin.lock().read_line(&mut line)? == 0 {
             break; // EOF
         }
-        match parse_command(&line) {
-            Ok(cmd) => {
-                if !execute(cmd, &mut db, &mut views, &mut stdout)? {
-                    break;
-                }
-            }
-            Err(e) => writeln!(stdout, "error: {e}")?,
+        if !execute(&line, &svc, &mut stdout)? {
+            break;
         }
     }
     Ok(())
@@ -358,15 +195,16 @@ fn main() -> std::io::Result<()> {
 mod tests {
     use super::*;
 
-    fn run(lines: &[&str]) -> String {
-        let mut db = ProbDb::new();
-        let mut views = ViewManager::new();
+    fn run_on(svc: &Service, lines: &[&str]) -> String {
         let mut out = Vec::new();
         for line in lines {
-            let cmd = parse_command(line).unwrap();
-            assert!(execute(cmd, &mut db, &mut views, &mut out).unwrap());
+            assert!(execute(line, svc, &mut out).unwrap());
         }
         String::from_utf8(out).unwrap()
+    }
+
+    fn run(lines: &[&str]) -> String {
+        run_on(&shell_service(), lines)
     }
 
     #[test]
@@ -418,17 +256,21 @@ mod tests {
     #[test]
     fn errors_are_reported_not_fatal() {
         assert!(run(&["query R(x"]).contains("error"));
+        assert!(run(&["nonsense"]).starts_with("error: unknown command"));
     }
 
     #[test]
-    fn stats_points_at_the_server() {
-        assert!(run(&["stats"]).contains("probdb-serve"));
-        assert!(run(&["trace last"]).contains("probdb-serve"));
-        assert!(run(&["slowlog"]).contains("probdb-serve"));
+    fn quit_and_shutdown_end_the_session() {
+        let svc = shell_service();
+        for line in ["quit", "exit", "shutdown"] {
+            assert!(!execute(line, &svc, &mut Vec::new()).unwrap(), "{line}");
+        }
     }
 
+    /// The observability commands are the service's, so they work in the
+    /// shell exactly as over the wire.
     #[test]
-    fn explain_analyze_and_metrics_work_locally() {
+    fn stats_explain_trace_slowlog_and_metrics_work_in_the_shell() {
         let text = run(&[
             "insert R 1 0.5",
             "insert S 1 2 0.8",
@@ -437,9 +279,27 @@ mod tests {
         assert!(text.contains("p = 0.400000"), "{text}");
         assert!(text.contains("engine=Lifted"), "{text}");
         assert!(text.contains("lifted "), "{text}");
-        let metrics = run(&["metrics"]);
+        let svc = shell_service();
+        run_on(&svc, &["insert R 1 0.5", "explain analyze exists x. R(x)"]);
+        assert!(run_on(&svc, &["stats"]).contains("lifted=1"));
+        assert!(run_on(&svc, &["trace last"]).contains("µs total"));
+        assert_eq!(run_on(&svc, &["slowlog"]), "(slowlog empty)\n");
+        let metrics = run_on(&svc, &["metrics"]);
         probdb::obs::expo::validate(&metrics).expect("valid exposition");
         assert!(metrics.contains("pdb_kernel_evals_total"), "{metrics}");
+    }
+
+    #[test]
+    fn source_runs_a_script_through_the_same_loop() {
+        let dir = std::env::temp_dir().join(format!("probdb-cli-source-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let script = dir.join("script.pdb");
+        std::fs::write(&script, "insert R 1 0.5\nbogus\nquery exists x. R(x)\n").unwrap();
+        let text = run(&[&format!("source {}", script.to_str().unwrap())]);
+        assert!(text.contains("error: unknown command"), "{text}");
+        assert!(text.contains("p = 0.500000"), "{text}");
+        assert!(run(&["source /nonexistent/script.pdb"]).contains("cannot read"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `save` then `open` in a fresh session restores tuples AND views with
@@ -452,44 +312,34 @@ mod tests {
         let path = dir.join("session.pdb");
         let path = path.to_str().unwrap();
 
-        let mut db = ProbDb::new();
-        let mut views = ViewManager::new();
-        let mut out = Vec::new();
-        for line in [
-            "insert R 1 0.5".to_string(),
-            "insert S 1 2 0.8".to_string(),
-            "view create v query exists x. exists y. R(x) & S(x,y)".to_string(),
-            format!("save {path}"),
-        ] {
-            assert!(execute(parse_command(&line).unwrap(), &mut db, &mut views, &mut out).unwrap());
-        }
-        assert!(String::from_utf8(out)
-            .unwrap()
-            .contains("saved 2 tuple(s), 1 view(s)"));
+        let saved = run(&[
+            "insert R 1 0.5",
+            "insert S 1 2 0.8",
+            "view create v query exists x. exists y. R(x) & S(x,y)",
+            &format!("save {path}"),
+        ]);
+        assert!(saved.contains("saved 2 tuple(s), 1 view(s)"), "{saved}");
 
-        let mut db2 = ProbDb::new();
-        let mut views2 = ViewManager::new();
-        let mut out2 = Vec::new();
-        for line in [
-            format!("open {path}"),
-            "view show v".to_string(),
-            "update S 1 2 0.4".to_string(),
-            "view show v".to_string(),
-        ] {
-            assert!(execute(
-                parse_command(&line).unwrap(),
-                &mut db2,
-                &mut views2,
-                &mut out2
-            )
-            .unwrap());
-        }
-        let text = String::from_utf8(out2).unwrap();
+        let svc = shell_service();
+        let text = run_on(
+            &svc,
+            &[
+                &format!("open {path}"),
+                "view show v",
+                "update S 1 2 0.4",
+                "view show v",
+            ],
+        );
         assert!(text.contains("opened"), "{text}");
+        assert!(text.contains("2 tuple(s), 1 view(s)"), "{text}");
         assert!(text.contains("p = 0.400000"), "{text}");
         assert!(text.contains("p = 0.200000"), "{text}");
-        assert_eq!(views2.recompiles(), 0, "restored view must not recompile");
-        std::fs::remove_dir_all(std::path::Path::new(path).parent().unwrap()).ok();
+        assert_eq!(
+            svc.inspect_views(|v| v.recompiles()),
+            0,
+            "restored view must not recompile"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -503,63 +353,5 @@ mod tests {
         let text = run(&[&format!("open {}", bad.to_str().unwrap())]);
         assert!(text.contains("is not a probdb snapshot"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The CLI must print exactly what the server's service layer returns
-    /// for the same commands — both delegate to the shared formatters.
-    #[test]
-    fn cli_and_service_render_identically() {
-        use probdb::server::{Service, ServiceOptions};
-        let script = [
-            "insert R 1 0.5",
-            "insert S 1 2 0.8",
-            "insert S 1 3 0.25",
-            "query exists x. exists y. R(x) & S(x,y)",
-            "classify R(x), S(x,y), T(y)",
-            "answers x : R(x), S(x,y)",
-            "show",
-            "query R(x) @@@",
-            "update S 1 2 0.4",
-            "update R 9 0.5",
-            "view create v query exists x. exists y. R(x) & S(x,y)",
-            "view show v",
-            "view list",
-            "update S 1 3 0.5",
-            "view show v",
-            "insert R 2 0.5",
-            "view list",
-            "view refresh v",
-            "view refresh",
-            "view create a answers x : R(x), S(x,y)",
-            "view show a",
-            "view drop v",
-            "view drop v",
-            "view list",
-        ];
-        let mut db = ProbDb::new();
-        let mut views = ViewManager::new();
-        let service = Service::new(
-            ProbDb::new(),
-            ServiceOptions {
-                query_timeout: std::time::Duration::ZERO,
-                ..ServiceOptions::default()
-            },
-        );
-        for line in script {
-            let mut cli_out = Vec::new();
-            execute(
-                parse_command(line).unwrap(),
-                &mut db,
-                &mut views,
-                &mut cli_out,
-            )
-            .unwrap();
-            let (service_out, _) = service.handle_line(line);
-            assert_eq!(
-                String::from_utf8(cli_out).unwrap(),
-                service_out,
-                "divergence on {line:?}"
-            );
-        }
     }
 }

@@ -143,11 +143,8 @@ fn inline_opts() -> ServiceOptions {
     }
 }
 
-/// A durable primary served over real loopback TCP (MemFs-backed store:
-/// checkpoints and WAL behave exactly like on disk, without touching the
-/// test machine's filesystem).
-fn primary_server(checkpoint_every: u64) -> ServerHandle {
-    let fs = Arc::new(MemFs::new());
+/// Opens (recovers) the durable service in `fs`.
+fn durable_service(fs: Arc<MemFs>, checkpoint_every: u64) -> Service {
     let (store, rec) = Store::open(
         fs,
         std::path::Path::new("data"),
@@ -157,7 +154,18 @@ fn primary_server(checkpoint_every: u64) -> ServerHandle {
         },
     )
     .unwrap();
-    let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+    Service::with_store(rec.db, rec.views, store, inline_opts())
+}
+
+/// A durable primary served over real loopback TCP (MemFs-backed store:
+/// checkpoints and WAL behave exactly like on disk, without touching the
+/// test machine's filesystem).
+fn primary_server(checkpoint_every: u64) -> ServerHandle {
+    primary_server_on(Arc::new(MemFs::new()), checkpoint_every)
+}
+
+fn primary_server_on(fs: Arc<MemFs>, checkpoint_every: u64) -> ServerHandle {
+    let svc = durable_service(fs, checkpoint_every);
     serve_service(
         svc,
         ServerOptions {
@@ -328,6 +336,11 @@ fn assert_converged(primary: &Service, replica: &Service) {
 /// Applies ops through the primary's real command path; returns the
 /// primary's head LSN afterwards.
 fn apply_ops(primary: &Service, ops: &[WalOp]) -> u64 {
+    apply_ops_logged(primary, ops, &mut String::new())
+}
+
+/// [`apply_ops`], appending every reply to `transcript`.
+fn apply_ops_logged(primary: &Service, ops: &[WalOp], transcript: &mut String) -> u64 {
     for op in ops {
         let (resp, _) = primary.handle_line(&op_line(op));
         // Updating a tuple that was never inserted is a benign refusal:
@@ -337,8 +350,37 @@ fn apply_ops(primary: &Service, ops: &[WalOp]) -> u64 {
             "primary refused {:?}: {resp}",
             op_line(op)
         );
+        transcript.push_str(&resp);
     }
     primary.store_lsns().expect("primary has a store").1
+}
+
+/// What a client reads back of the state: `show` plus every `view show`.
+const READ_BACK: [&str; 3] = ["show", "view show v_safe", "view show v_hard"];
+
+fn read_back(svc: &Service) -> String {
+    READ_BACK.map(|line| svc.handle_line(line).0).concat()
+}
+
+/// Pipes `lines` through the real `probdb-cli` line loop; returns
+/// everything it printed.
+fn shell_transcript(lines: &[String]) -> String {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut shell = Command::new(env!("CARGO_BIN_EXE_probdb-cli"))
+        .arg("--batch")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn probdb-cli");
+    let mut stdin = shell.stdin.take().expect("piped stdin");
+    for line in lines {
+        writeln!(stdin, "{line}").expect("write to probdb-cli");
+    }
+    drop(stdin); // EOF ends the session
+    let out = shell.wait_with_output().expect("probdb-cli exits");
+    assert!(out.status.success(), "probdb-cli failed: {:?}", out.status);
+    String::from_utf8(out.stdout).expect("utf-8 output")
 }
 
 proptest! {
@@ -347,7 +389,10 @@ proptest! {
     /// The tentpole guarantee: whatever mutation sequence runs and however
     /// it is split around the replica's connect (bootstrap vs live
     /// stream), the replica converges to bit-identical state across all
-    /// five query kinds.
+    /// five query kinds — and so does every other route an op history can
+    /// take to the one `apply`: the same lines typed into the shell, and
+    /// the primary's own log replayed by recovery, read back byte for byte
+    /// what the live primary prints.
     #[test]
     fn replica_converges_bit_identically_for_any_mutation_split(
         raw in prop::collection::vec(arb_raw(), 1..10),
@@ -355,18 +400,31 @@ proptest! {
     ) {
         let ops = to_wal_ops(&raw);
         let split = split.min(ops.len());
-        let server = primary_server(0);
+        let fs = Arc::new(MemFs::new());
+        let server = primary_server_on(Arc::clone(&fs), 0);
         let primary = server.service().clone();
+        let mut live = String::new();
         // Some ops land before the replica exists (served via snapshot
         // bootstrap + WAL catch-up) ...
-        apply_ops(&primary, &ops[..split]);
+        apply_ops_logged(&primary, &ops[..split], &mut live);
         let (replica, handle, status) = start_test_replica(server.local_addr(), None);
         // ... and the rest while it streams live.
-        let head = apply_ops(&primary, &ops[split..]);
+        let head = apply_ops_logged(&primary, &ops[split..], &mut live);
         wait_caught_up(&status, head);
         assert_converged(&primary, &replica);
+
+        let want = read_back(&primary);
+        prop_assert_eq!(read_back(&replica), want.clone(), "replica read-back");
+        let script: Vec<String> = ops
+            .iter()
+            .map(op_line)
+            .chain(READ_BACK.map(String::from))
+            .collect();
+        prop_assert_eq!(shell_transcript(&script), live + &want, "shell transcript");
         drop(handle);
         server.shutdown();
+        drop(primary);
+        prop_assert_eq!(read_back(&durable_service(fs, 0)), want, "recovered read-back");
     }
 
     /// Fault sweep: a disconnect, torn record, or stall injected at an

@@ -7,8 +7,7 @@
 //! their persisted circuits: recovery recompiles exactly the views created
 //! in the WAL tail (after the last surviving checkpoint) and no others.
 
-use probdb::store::snapshot::apply_op;
-use probdb::store::{FailpointFs, Fault, FsyncPolicy, MemFs, Store, StoreOptions, WalOp};
+use probdb::store::{apply_op, FailpointFs, Fault, FsyncPolicy, MemFs, Store, StoreOptions, WalOp};
 use probdb::views::persist::ViewDefState;
 use probdb::views::ViewManager;
 use probdb::{ProbDb, QueryOptions};
