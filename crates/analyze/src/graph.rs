@@ -646,12 +646,7 @@ impl CallGraph {
     }
 
     /// Workspace-resolved call sites within a token range of one file.
-    pub fn sites_in<'a>(
-        &'a self,
-        file: usize,
-        lo: usize,
-        hi: usize,
-    ) -> impl Iterator<Item = &'a CallSite> {
+    pub fn sites_in(&self, file: usize, lo: usize, hi: usize) -> impl Iterator<Item = &CallSite> {
         self.sites
             .iter()
             .filter(move |s| s.file == file && s.tok > lo && s.tok < hi)

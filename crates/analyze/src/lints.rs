@@ -99,7 +99,7 @@ fn finding(lint: Lint, file: usize, sf: &SourceFile, tok: usize, message: String
 }
 
 /// The innermost function whose body contains token `i`.
-fn enclosing_fn<'a>(sf: &'a SourceFile, i: usize) -> Option<&'a crate::model::Func> {
+fn enclosing_fn(sf: &SourceFile, i: usize) -> Option<&crate::model::Func> {
     sf.functions
         .iter()
         .filter(|f| matches!(f.body, Some((a, b)) if i > a && i < b))

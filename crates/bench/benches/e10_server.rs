@@ -31,7 +31,7 @@ fn example21_service() -> Service {
     Service::new(
         db,
         ServiceOptions {
-            query_timeout: Duration::ZERO, // inline, no helper threads
+            query_timeout: Duration::ZERO, // no deadline: the bench measures full evaluations
             cache_capacity: 64,
             ..ServiceOptions::default()
         },

@@ -20,6 +20,7 @@ use pdb_data::{Tuple, TupleDb};
 use pdb_logic::{Cq, Fo, Ucq};
 use pdb_wmc::DpllOptions;
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 pub use pdb_lifted::{classify_sjf_cq, classify_ucq, Complexity};
 
@@ -74,6 +75,12 @@ pub struct QueryOptions {
     pub samples: u64,
     /// RNG seed for the estimator.
     pub seed: u64,
+    /// Give up exact work once the wall clock passes this instant (`None`
+    /// = never) with [`EngineError::DeadlineExceeded`]: the time budget
+    /// next to `exact_budget`. Checked after the lifted engine declines,
+    /// after grounding, and inside DPLL; a lifted answer is always
+    /// returned, however late.
+    pub deadline: Option<Instant>,
 }
 
 impl Default for QueryOptions {
@@ -83,6 +90,17 @@ impl Default for QueryOptions {
             exact_budget: 2_000_000,
             samples: 200_000,
             seed: 0x5eed,
+            deadline: None,
+        }
+    }
+}
+
+impl QueryOptions {
+    /// `Err(DeadlineExceeded)` once the clock is past the deadline.
+    fn check_deadline(&self) -> Result<(), EngineError> {
+        match self.deadline {
+            Some(deadline) if Instant::now() >= deadline => Err(EngineError::DeadlineExceeded),
+            _ => Ok(()),
         }
     }
 }
@@ -94,6 +112,9 @@ pub enum EngineError {
     Parse(pdb_logic::ParseError),
     /// No engine could evaluate the query under the given options.
     Unsupported(String),
+    /// [`QueryOptions::deadline`] passed before an exact answer was found;
+    /// the exact work was stopped, not left running.
+    DeadlineExceeded,
 }
 
 impl std::fmt::Display for EngineError {
@@ -101,6 +122,7 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::Parse(e) => write!(f, "{e}"),
             EngineError::Unsupported(msg) => write!(f, "unsupported query: {msg}"),
+            EngineError::DeadlineExceeded => write!(f, "deadline exceeded"),
         }
     }
 }
@@ -266,34 +288,46 @@ impl ProbDb {
                 });
             }
         }
-        // 2. Grounded inference with a decision budget.
+        opts.check_deadline()?;
+        // 2. Grounded inference with a decision budget and a deadline.
         let mut compile_span = pdb_obs::span(pdb_obs::Stage::Compile);
         let index = self.db.index();
         let lineage = pdb_lineage::lineage(fo, &self.db, &index);
         let probs: Vec<f64> = index.iter().map(|(_, r)| r.prob).collect();
         compile_span.set_u64("tuples", probs.len() as u64);
         drop(compile_span);
+        opts.check_deadline()?;
         let dpll_opts = DpllOptions {
             max_decisions: opts.exact_budget,
+            deadline: opts.deadline,
             ..Default::default()
         };
+        // Counting runs on the pool (independent components in parallel;
+        // bit-identical to the sequential counter — `pdb_wmc::run_parallel`).
         let pool = pdb_par::current();
         let exact = {
             let mut span = pdb_obs::span(pdb_obs::Stage::Ground);
             let kernel_before = span.is_recording().then(pdb_kernel::stats);
             span.set_u64("budget", opts.exact_budget);
-            let exact = try_exact(&lineage, &probs, dpll_opts, &pool);
-            span.set_bool("within_budget", exact.is_some());
+            let exact = pdb_wmc::count_expr(&lineage, &probs, dpll_opts, &pool);
+            span.set_bool("within_budget", !exact.aborted);
             if let Some(before) = kernel_before {
                 let after = pdb_kernel::stats();
                 span.set_u64("kernel_evals", after.evals - before.evals);
                 span.set_u64("kernel_bytes", after.eval_bytes - before.eval_bytes);
             }
+            // An aborted count is a stage boundary too: if the clock is
+            // past the deadline now, that is what the run reports, whichever
+            // of its two budgets stopped the counter.
+            if exact.aborted && opts.check_deadline().is_err() {
+                span.set_bool("deadline", true);
+                return Err(EngineError::DeadlineExceeded);
+            }
             exact
         };
-        if let Some(p) = exact {
+        if !exact.aborted {
             return Ok(Answer {
-                probability: p,
+                probability: exact.probability,
                 method: Method::Grounded,
                 bounds: None,
                 std_error: None,
@@ -383,6 +417,9 @@ impl ProbDb {
         // selection and the (stable) sort below match the sequential loop.
         let pool = pdb_par::current();
         let rows = pool.parallel_map(candidates.into_iter().collect(), |values| {
+            // A row boundary is a stage boundary: lifted rows never look
+            // at the clock themselves, and there can be many of them.
+            opts.check_deadline()?;
             let mut bound = cq.clone();
             for (v, &c) in head.iter().zip(&values) {
                 bound = bound.substitute(v, &pdb_logic::Term::Const(c));
@@ -433,41 +470,6 @@ impl ProbDb {
             ProbDb::from_tuple_db(pdb_data::openworld::lambda_completion(&self.db, lambda));
         let upper = completed.query_fo(fo, opts)?;
         Ok((lower, upper))
-    }
-}
-
-/// Runs the exact counter under a budget; `None` when aborted. Counting
-/// runs on `pool` (independent components in parallel; bit-identical to the
-/// sequential counter — see `pdb_wmc::run_parallel`).
-fn try_exact(
-    lineage: &pdb_lineage::BoolExpr,
-    probs: &[f64],
-    opts: DpllOptions,
-    pool: &pdb_par::Pool,
-) -> Option<f64> {
-    use pdb_lineage::{BoolExpr, Cnf};
-    let n = probs.len() as u32;
-    match lineage {
-        BoolExpr::Const(b) => Some(if *b { 1.0 } else { 0.0 }),
-        _ if lineage.is_monotone_dnf() => {
-            let cnf = Cnf::from_negated_dnf(lineage, n);
-            let r = pdb_wmc::run_parallel(&cnf, probs, opts, pool);
-            (!r.aborted).then_some(1.0 - r.probability)
-        }
-        _ => match Cnf::from_expr_direct(lineage, n) {
-            Some(cnf) => {
-                let r = pdb_wmc::run_parallel(&cnf, probs, opts, pool);
-                (!r.aborted).then_some(r.probability)
-            }
-            None => {
-                let cnf = Cnf::tseitin(lineage, n);
-                let aux = cnf.aux_vars();
-                let mut all = probs.to_vec();
-                all.resize(cnf.num_vars as usize, 0.5);
-                let r = pdb_wmc::run_parallel(&cnf, &all, opts, pool);
-                (!r.aborted).then(|| r.probability * 2f64.powi(aux as i32))
-            }
-        },
     }
 }
 
@@ -552,6 +554,47 @@ mod tests {
             a.probability
         );
         assert!(a.std_error.is_some());
+    }
+
+    #[test]
+    fn a_passed_deadline_stops_exact_work_but_never_a_lifted_answer() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let db = ProbDb::from_tuple_db(pdb_data::generators::bipartite(
+            6,
+            0.8,
+            (0.2, 0.8),
+            &mut rng,
+        ));
+        let expired = QueryOptions {
+            deadline: Some(Instant::now()),
+            ..Default::default()
+        };
+        let hard = pdb_logic::parse_fo("exists x. exists y. R(x) & S(x,y) & T(y)").unwrap();
+        assert!(matches!(
+            db.query_fo(&hard, &expired),
+            Err(EngineError::DeadlineExceeded)
+        ));
+        let safe = pdb_logic::parse_fo("exists x. exists y. R(x) & S(x,y)").unwrap();
+        assert_eq!(db.query_fo(&safe, &expired).unwrap().method, Method::Lifted);
+        // Answer rows are lifted one by one; the row boundary checks.
+        let cq = pdb_logic::parse_cq("R(x), S(x,y)").unwrap();
+        let head = [pdb_logic::Var::new("x")];
+        assert!(matches!(
+            db.query_answers(&cq, &head, &expired),
+            Err(EngineError::DeadlineExceeded)
+        ));
+        // A deadline that does not pass changes no bit of the exact answer.
+        let roomy = QueryOptions {
+            deadline: Some(Instant::now() + std::time::Duration::from_secs(3600)),
+            ..Default::default()
+        };
+        let bounded = db.query_fo(&hard, &roomy).unwrap();
+        let unbounded = db.query_fo(&hard, &QueryOptions::default()).unwrap();
+        assert_eq!(bounded.method, Method::Grounded);
+        assert_eq!(
+            bounded.probability.to_bits(),
+            unbounded.probability.to_bits()
+        );
     }
 
     #[test]

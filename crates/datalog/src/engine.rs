@@ -83,20 +83,21 @@ impl<'a> DatalogEngine<'a> {
     /// All derived facts of `pred`, with probabilities, sorted by tuple.
     pub fn facts(&mut self, pred: &str) -> Vec<(Tuple, f64)> {
         self.solve();
-        let mut out: Vec<(Tuple, f64)> = self
+        // Sorted before any probability is computed: nothing numeric runs
+        // in the store's hash order.
+        let tuples: BTreeSet<Tuple> = self
             .store
             .keys()
             .filter(|(p, _)| p == pred)
             .map(|(_, t)| t.clone())
-            .collect::<BTreeSet<_>>()
+            .collect();
+        tuples
             .into_iter()
             .map(|t| {
                 let p = self.probability(pred, &t);
                 (t, p)
             })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+            .collect()
     }
 
     /// The lineage of a derived fact (`None` if not derivable at all).

@@ -31,6 +31,6 @@ pub use metrics::{
     register_counter, register_gauge, register_histogram, render, Counter, ExpositionBuilder, Gauge,
 };
 pub use trace::{
-    check_well_formed, current_context, span, tracing_enabled, with_tracer, with_tracer_under,
-    AttrValue, SpanGuard, SpanRecord, Stage, Tracer,
+    check_well_formed, span, tracing_enabled, with_tracer, AttrValue, SpanGuard, SpanRecord, Stage,
+    Tracer,
 };

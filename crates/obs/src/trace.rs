@@ -4,9 +4,8 @@
 //! plan/engine selection → compile → flatten → kernel eval / sampler chunks →
 //! cache, each span carrying wall time and stage-specific attributes. Spans
 //! are created with the free function [`span`], which consults a thread-local
-//! current tracer installed by [`with_tracer`] (or [`with_tracer_under`], used
-//! to parent spans produced on the server's timeout-helper thread under the
-//! request's root span).
+//! current tracer installed by [`with_tracer`]. A query runs start to finish
+//! on the thread that received it, so its span tree is built on one thread.
 //!
 //! Cost model: when no tracer is installed *anywhere in the process*, [`span`]
 //! is a single relaxed atomic load returning an inert guard — near-zero cost.
@@ -223,14 +222,12 @@ impl Tracer {
             children.entry(r.parent).or_default().push(r);
         }
         let mut out = String::new();
-        // Roots: spans whose parent is None or refers outside this tracer.
-        let ids: std::collections::BTreeSet<u32> = records.iter().map(|r| r.id).collect();
-        let mut stack: Vec<(&SpanRecord, usize)> = Vec::new();
-        for r in records.iter().rev() {
-            if r.parent.is_none_or(|p| !ids.contains(&p)) {
-                stack.push((r, 0));
-            }
-        }
+        let mut stack: Vec<(&SpanRecord, usize)> = records
+            .iter()
+            .rev()
+            .filter(|r| r.parent.is_none())
+            .map(|r| (r, 0))
+            .collect();
         while let Some((r, depth)) = stack.pop() {
             for _ in 0..depth {
                 out.push_str("  ");
@@ -369,13 +366,6 @@ pub fn check_well_formed(records: &[SpanRecord]) -> Result<(), String> {
 /// into it. Nests: the previous tracer (if any) is restored afterwards, also
 /// on panic.
 pub fn with_tracer<R>(tracer: &Tracer, f: impl FnOnce() -> R) -> R {
-    with_tracer_under(tracer, None, f)
-}
-
-/// Like [`with_tracer`] but new top-level spans created by `f` become
-/// children of `parent`. Used to carry a request's root span onto the
-/// server's timeout-helper thread.
-pub fn with_tracer_under<R>(tracer: &Tracer, parent: Option<u32>, f: impl FnOnce() -> R) -> R {
     struct Restore {
         prev: Option<Active>,
     }
@@ -390,25 +380,12 @@ pub fn with_tracer_under<R>(tracer: &Tracer, parent: Option<u32>, f: impl FnOnce
     let prev = CURRENT.with(|c| {
         c.borrow_mut().replace(Active {
             tracer: tracer.clone(),
-            stack: parent.into_iter().collect(),
+            stack: Vec::new(),
         })
     });
     ENABLED.fetch_add(1, Ordering::Relaxed);
     let _restore = Restore { prev };
     f()
-}
-
-/// The current thread's tracer and innermost open span, if any. The server
-/// uses this to forward the tracing context into its timeout-helper thread.
-pub fn current_context() -> Option<(Tracer, Option<u32>)> {
-    if ENABLED.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    CURRENT.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map(|a| (a.tracer.clone(), a.stack.last().copied()))
-    })
 }
 
 /// Open a span for `stage`. If no tracer is installed on this thread the
@@ -460,11 +437,6 @@ impl SpanGuard {
     /// attribute computation.
     pub fn is_recording(&self) -> bool {
         self.active.is_some()
-    }
-
-    /// The span id, for parenting work on other threads under this span.
-    pub fn id(&self) -> Option<u32> {
-        self.active.as_ref().map(|a| a.id)
     }
 
     pub fn set_u64(&mut self, key: &'static str, v: u64) {
@@ -526,7 +498,6 @@ mod tests {
     fn span_without_tracer_is_inert() {
         let mut g = span(Stage::Query);
         assert!(!g.is_recording());
-        assert!(g.id().is_none());
         g.set_u64("x", 1); // no-op, must not panic
     }
 
@@ -556,28 +527,6 @@ mod tests {
         assert!(text.contains("engine=Lifted"));
         assert!(text.contains("\n  parse "));
         assert!(text.contains("hit=false"));
-    }
-
-    #[test]
-    fn with_tracer_under_parents_cross_thread_spans() {
-        let tracer = Tracer::new();
-        with_tracer(&tracer, || {
-            let root = span(Stage::Query);
-            let ctx = current_context().expect("context installed");
-            assert_eq!(ctx.1, root.id());
-            let (t2, parent) = ctx;
-            std::thread::spawn(move || {
-                with_tracer_under(&t2, parent, || {
-                    let _g = span(Stage::Ground);
-                })
-            })
-            .join()
-            .unwrap();
-        });
-        let records = tracer.records();
-        let root = records.iter().find(|r| r.stage == Stage::Query).unwrap();
-        let ground = records.iter().find(|r| r.stage == Stage::Ground).unwrap();
-        assert_eq!(ground.parent, Some(root.id));
     }
 
     #[test]

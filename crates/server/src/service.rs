@@ -47,13 +47,15 @@
 //!
 //! ## Timeouts
 //!
-//! A `query` that exceeds the configured wall-clock budget degrades to the
-//! approximate engine (Karp–Luby with a small sample count, exact budget 1)
-//! instead of hanging a worker — the paper's cascade, applied to latency
-//! (Gatterbauer & Suciu's motivation for approximate lifted inference).
-//! The original evaluation keeps running on a helper thread and still
-//! populates the cache on completion, so a repeat of a timed-out query
-//! eventually gets the exact answer for free.
+//! The configured wall-clock budget becomes a deadline carried in
+//! [`QueryOptions`] down to the DPLL loop, which checks it next to its
+//! decision budget. Every command runs start to finish on the worker that
+//! received it; when the deadline passes, the exact work *stops* and a
+//! `query` degrades to the approximate engine (Karp–Luby with a small
+//! sample count, exact budget 1) — the paper's cascade, applied to latency
+//! (Gatterbauer & Suciu's motivation for approximate lifted inference) —
+//! while `answers` and `open` reply with the typed error. A degraded answer
+//! is not cached, so a repeat of a timed-out query is evaluated again.
 
 use crate::cache::LruCache;
 use crate::protocol::{
@@ -63,16 +65,14 @@ use crate::protocol::{
 };
 use crate::stats::{KernelSnapshot, PoolSnapshot, Stats, ViewsSnapshot};
 use pdb_core::{Answer, Complexity, EngineError, ProbDb, QueryOptions};
-use pdb_obs::{span, with_tracer, with_tracer_under, Stage, Tracer};
+use pdb_obs::{span, with_tracer, Stage, Tracer};
 use pdb_replica::{Frame, ReadOnlyReplica, ReplicaFeed, ReplicaHub, ReplicaStatus};
 use pdb_store::snapshot::{decode_snapshot, encode_snapshot};
 use pdb_store::{Refused, Store, StoreError, WalOp};
 use pdb_views::ViewManager;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{
-    mpsc, Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Acquires `m`, recovering the guard when a previous holder panicked.
@@ -130,13 +130,15 @@ enum CacheEntry {
 /// Tuning knobs for a [`Service`].
 #[derive(Clone, Debug)]
 pub struct ServiceOptions {
-    /// Wall-clock budget per `query` before degrading to the approximate
-    /// engine. `Duration::ZERO` disables the timeout (queries run inline on
-    /// the worker thread).
+    /// Wall-clock budget per `query`, `answers` and `open`, checked by the
+    /// engine itself (between cascade stages and inside DPLL). When it runs
+    /// out the exact work stops: a `query` degrades to the approximate
+    /// engine, `answers`/`open` reply `deadline exceeded`. `Duration::ZERO`
+    /// means no deadline.
     pub query_timeout: Duration,
     /// Result-cache capacity in entries.
     pub cache_capacity: usize,
-    /// Karp–Luby sample count used by the degraded (post-timeout) path.
+    /// Karp–Luby sample count used by the degraded (post-deadline) path.
     pub degraded_samples: u64,
     /// When set, every `query` runs under a tracer and any query at least
     /// this slow is captured — full span tree — into the slowlog ring
@@ -163,7 +165,7 @@ impl Default for ServiceOptions {
 const SLOWLOG_CAPACITY: usize = 32;
 
 /// One captured query trace: the normalized text, the end-to-end latency,
-/// and the span tree (shared with any helper thread still appending).
+/// and the span tree.
 #[derive(Clone)]
 struct TraceCapture {
     query: String,
@@ -177,8 +179,6 @@ struct Shared {
     views: Mutex<ViewManager>,
     stats: Stats,
     opts: ServiceOptions,
-    /// Helper threads spawned for timed-out queries that are still running.
-    inflight_helpers: AtomicU64,
     /// The most recent captured trace (`explain analyze` or a slowlog hit).
     last_trace: Mutex<Option<TraceCapture>>,
     /// Queries slower than `opts.slowlog_threshold`, newest last.
@@ -283,7 +283,6 @@ impl Service {
                 views: Mutex::new(views),
                 stats: Stats::default(),
                 opts,
-                inflight_helpers: AtomicU64::new(0),
                 last_trace: Mutex::new(None),
                 slowlog: Mutex::new(VecDeque::new()),
                 store: store.map(Mutex::new),
@@ -522,11 +521,6 @@ impl Service {
     /// Drops every cached result (used by benches to measure cold paths).
     pub fn clear_cache(&self) {
         lock(&self.inner.cache).clear();
-    }
-
-    /// Helper threads still evaluating timed-out queries.
-    pub fn inflight_helpers(&self) -> u64 {
-        self.inner.inflight_helpers.load(Ordering::Relaxed)
     }
 
     /// Parses and executes one protocol line. Returns the response text and
@@ -806,18 +800,10 @@ impl Service {
         let Some(threshold) = self.inner.opts.slowlog_threshold else {
             // No subscriber: every span below is inert (one relaxed atomic
             // load), so the hot path stays allocation- and lock-free.
-            return self.run_query_spanned(text, false);
+            return self.run_query_spanned(text);
         };
-        let tracer = Tracer::new();
-        let start = Instant::now();
-        let out = with_tracer(&tracer, || self.run_query_spanned(text, false));
-        let total = start.elapsed();
-        if total >= threshold {
-            let capture = TraceCapture {
-                query: normalize_query(text),
-                total,
-                tracer,
-            };
+        let (out, capture) = self.run_query_traced(text);
+        if capture.total >= threshold {
             *lock(&self.inner.last_trace) = Some(capture.clone());
             let mut log = lock(&self.inner.slowlog);
             if log.len() >= SLOWLOG_CAPACITY {
@@ -828,11 +814,44 @@ impl Service {
         out
     }
 
+    /// Runs the query under a fresh tracer; returns the reply and the trace.
+    fn run_query_traced(&self, text: &str) -> (String, TraceCapture) {
+        let tracer = Tracer::new();
+        let start = Instant::now();
+        let out = with_tracer(&tracer, || self.run_query_spanned(text));
+        let capture = TraceCapture {
+            query: normalize_query(text),
+            total: start.elapsed(),
+            tracer,
+        };
+        (out, capture)
+    }
+
+    /// Engine options for a command that started at `start`: the defaults
+    /// plus the instant its wall-clock budget runs out (none for a zero
+    /// budget, or one too large to represent).
+    fn query_options(&self, start: Instant) -> QueryOptions {
+        let timeout = self.inner.opts.query_timeout;
+        QueryOptions {
+            deadline: start.checked_add(timeout).filter(|_| !timeout.is_zero()),
+            ..QueryOptions::default()
+        }
+    }
+
+    /// Renders a failed `answers`/`open`. A passed deadline counts as a
+    /// timeout and says after how long.
+    fn engine_error(&self, e: EngineError, start: Instant) -> String {
+        if matches!(e, EngineError::DeadlineExceeded) {
+            self.inner.stats.record_timeout();
+            return format!("error: {e} after {} ms\n", start.elapsed().as_millis());
+        }
+        format!("error: {e}\n")
+    }
+
     /// The query path proper, emitting the cascade span tree (root `query`
     /// span, `parse` + `cache` children, engine stages recorded inside
-    /// [`pdb_core`]). `force_inline` bypasses the timeout helper thread so
-    /// `explain analyze` traces the full evaluation deterministically.
-    fn run_query_spanned(&self, text: &str, force_inline: bool) -> String {
+    /// [`pdb_core`]) — all of it on the calling thread.
+    fn run_query_spanned(&self, text: &str) -> String {
         let start = Instant::now();
         let mut root = span(Stage::Query);
         let (norm, db, key) = {
@@ -858,122 +877,65 @@ impl Service {
             cache_span.set_bool("hit", matches!(hit, Some(CacheEntry::Answer(_))));
             hit
         };
-        let out = if let Some(CacheEntry::Answer(a)) = cached {
+        let answer = if let Some(CacheEntry::Answer(a)) = cached {
             self.inner.stats.record_cache_hit();
-            self.inner.stats.record_method(a.method);
-            if root.is_recording() {
-                root.set_str("engine", format!("{:?}", a.method));
-            }
-            format_answer(&a)
+            Ok(a)
         } else {
             self.inner.stats.record_cache_miss();
-            match self.compute_with_timeout(db, &norm, key, force_inline) {
-                Ok(a) => {
-                    self.inner.stats.record_method(a.method);
-                    if root.is_recording() {
-                        root.set_str("engine", format!("{:?}", a.method));
-                    }
-                    format_answer(&a)
+            self.compute(&db, &norm, key, start)
+        };
+        let out = match answer {
+            Ok(a) => {
+                self.inner.stats.record_method(a.method);
+                if root.is_recording() {
+                    root.set_str("engine", format!("{:?}", a.method));
                 }
-                Err(e) => {
-                    self.inner.stats.record_error();
-                    format!("error: {e}\n")
-                }
+                format_answer(&a)
+            }
+            Err(e) => {
+                self.inner.stats.record_error();
+                format!("error: {e}\n")
             }
         };
         self.inner.stats.record_latency(start.elapsed());
         out
     }
 
-    /// Evaluates `norm` on `db`, degrading to the approximate engine if the
-    /// wall-clock budget elapses. Successful full-fidelity results are
-    /// cached (also by the helper thread when it finishes late).
-    fn compute_with_timeout(
+    /// Evaluates `norm` on `db` under the deadline of a query that began at
+    /// `start`, and caches the result. When the deadline passes first, the
+    /// engine has already stopped its exact work; the answer then comes
+    /// from the approximate path — no exact counting (budget 1), a reduced
+    /// Karp–Luby sample count, same snapshot — and is not cached.
+    fn compute(
         &self,
-        db: Arc<ProbDb>,
+        db: &ProbDb,
         norm: &str,
         key: CacheKey,
-        force_inline: bool,
+        start: Instant,
     ) -> Result<Answer, EngineError> {
-        let timeout = self.inner.opts.query_timeout;
-        if timeout.is_zero() || force_inline {
-            let answer = db.query(norm)?;
-            self.cache_answer(key, &answer);
-            return Ok(answer);
-        }
-        let (tx, rx) = mpsc::channel();
-        let shared = Arc::clone(&self.inner);
-        let text = norm.to_string();
-        let helper_key = key.clone();
-        // Forward the active tracer (if any) into the helper thread so the
-        // engine's cascade spans still land under this query's root span.
-        // The tracer shares an Arc'd buffer, so a helper that outlives the
-        // timeout keeps appending to the already-captured trace — late
-        // spans show up when the trace is next rendered.
-        let ctx = pdb_obs::current_context();
-        shared.inflight_helpers.fetch_add(1, Ordering::Relaxed);
-        let spawned = std::thread::Builder::new()
-            .name("pdb-query".into())
-            .spawn(move || {
-                let result = match &ctx {
-                    Some((tracer, parent)) => {
-                        with_tracer_under(tracer, *parent, || db.query(&text))
-                    }
-                    None => db.query(&text),
-                };
-                if let Ok(a) = &result {
-                    lock(&shared.cache).insert(helper_key, CacheEntry::Answer(a.clone()));
-                }
-                shared.inflight_helpers.fetch_sub(1, Ordering::Relaxed);
-                let _ = tx.send(result);
-            });
-        if spawned.is_err() {
-            // Thread exhaustion. The closure above was dropped unrun, so
-            // undo its in-flight count and reuse the timeout-degradation
-            // path: a process too loaded to spawn a helper should shed
-            // exact-inference work, not panic the worker.
-            self.inner.inflight_helpers.fetch_sub(1, Ordering::Relaxed);
-            self.inner.stats.record_timeout();
-            let mut degrade = span(Stage::Degrade);
-            degrade.set_u64("samples", self.inner.opts.degraded_samples);
-            let db_now = self.db_snapshot();
-            return self.degraded_answer(&db_now, norm);
-        }
-        match rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.inner.stats.record_timeout();
-                // Recompute cheaply on a fresh snapshot of the *same* data
-                // (we still hold the Arc the helper runs on? No — the helper
-                // owns it; re-snapshot by version-stable key is unnecessary:
-                // degrade against the current contents under the same
-                // normalized text).
-                let mut degrade = span(Stage::Degrade);
-                degrade.set_u64("samples", self.inner.opts.degraded_samples);
-                let db_now = self.db_snapshot();
-                self.degraded_answer(&db_now, norm)
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(EngineError::Unsupported(
-                "query evaluation panicked in the helper thread".into(),
-            )),
-        }
-    }
-
-    /// The post-timeout fallback: skip exact model counting (budget 1) and
-    /// estimate with a reduced Karp–Luby sample count. Not cached — the
-    /// helper thread caches the exact answer when it completes.
-    fn degraded_answer(&self, db: &ProbDb, norm: &str) -> Result<Answer, EngineError> {
         let fo = pdb_logic::parse_fo(norm)?;
-        let opts = QueryOptions {
-            exact_budget: 1,
-            samples: self.inner.opts.degraded_samples,
-            ..QueryOptions::default()
-        };
-        db.query_fo(&fo, &opts)
-    }
-
-    fn cache_answer(&self, key: CacheKey, answer: &Answer) {
-        lock(&self.inner.cache).insert(key, CacheEntry::Answer(answer.clone()));
+        match db.query_fo(&fo, &self.query_options(start)) {
+            Err(EngineError::DeadlineExceeded) => {
+                self.inner.stats.record_timeout();
+                let samples = self.inner.opts.degraded_samples;
+                let mut degrade = span(Stage::Degrade);
+                degrade.set_str("reason", "deadline");
+                degrade.set_u64("elapsed_us", start.elapsed().as_micros() as u64);
+                degrade.set_u64("samples", samples);
+                let opts = QueryOptions {
+                    exact_budget: 1,
+                    samples,
+                    ..QueryOptions::default()
+                };
+                db.query_fo(&fo, &opts)
+            }
+            exact => {
+                if let Ok(answer) = &exact {
+                    lock(&self.inner.cache).insert(key, CacheEntry::Answer(answer.clone()));
+                }
+                exact
+            }
+        }
     }
 
     fn run_classify(&self, text: &str) -> String {
@@ -1001,14 +963,15 @@ impl Service {
     }
 
     fn run_answers(&self, head: &[String], cq: &str) -> String {
+        let start = Instant::now();
         let db = self.db_snapshot();
         match pdb_logic::parse_cq(cq) {
             Ok(parsed) => {
                 let vars: Vec<pdb_logic::Var> =
                     head.iter().map(|v| pdb_logic::Var::new(v)).collect();
-                match db.query_answers(&parsed, &vars, &QueryOptions::default()) {
+                match db.query_answers(&parsed, &vars, &self.query_options(start)) {
                     Ok(rows) => format_answer_tuples(head, &rows),
-                    Err(e) => format!("error: {e}\n"),
+                    Err(e) => self.engine_error(e, start),
                 }
             }
             Err(e) => format!("parse error: {e}\n"),
@@ -1016,30 +979,25 @@ impl Service {
     }
 
     fn run_open(&self, lambda: f64, query: &str) -> String {
+        let start = Instant::now();
         let db = self.db_snapshot();
         match pdb_logic::parse_fo(query) {
-            Ok(fo) => match db.query_open_world(&fo, lambda, &QueryOptions::default()) {
+            Ok(fo) => match db.query_open_world(&fo, lambda, &self.query_options(start)) {
                 Ok((lo, hi)) => format_open(&lo, &hi),
-                Err(e) => format!("error: {e}\n"),
+                Err(e) => self.engine_error(e, start),
             },
             Err(e) => format!("parse error: {e}\n"),
         }
     }
 
-    /// `explain analyze <query>`: run the query under a fresh tracer —
-    /// inline, bypassing the timeout helper so the trace covers the whole
-    /// evaluation — and append the rendered span tree to the answer. The
-    /// trace also becomes `trace last`. Counts in `stats` like any query.
+    /// `explain analyze <query>`: run the query under a fresh tracer — the
+    /// same path, deadline included, as `query` — and append the rendered
+    /// span tree to the answer. The trace also becomes `trace last`. Counts
+    /// in `stats` like any query.
     fn run_explain(&self, text: &str) -> String {
-        let tracer = Tracer::new();
-        let start = Instant::now();
-        let mut out = with_tracer(&tracer, || self.run_query_spanned(text, true));
-        *lock(&self.inner.last_trace) = Some(TraceCapture {
-            query: normalize_query(text),
-            total: start.elapsed(),
-            tracer: tracer.clone(),
-        });
-        out.push_str(&tracer.render_text());
+        let (mut out, capture) = self.run_query_traced(text);
+        out.push_str(&capture.tracer.render_text());
+        *lock(&self.inner.last_trace) = Some(capture);
         out
     }
 
@@ -1141,7 +1099,7 @@ mod tests {
     use super::*;
     use pdb_replica::ReplicaApply;
 
-    fn inline_opts() -> ServiceOptions {
+    fn no_deadline_opts() -> ServiceOptions {
         ServiceOptions {
             query_timeout: Duration::ZERO,
             cache_capacity: 64,
@@ -1161,7 +1119,7 @@ mod tests {
 
     #[test]
     fn second_query_is_a_cache_hit_with_identical_text() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (first, _) = svc.handle_line(Q);
         assert!(first.contains("p = 0.400000"), "{first}");
         let (second, _) = svc.handle_line(Q);
@@ -1173,7 +1131,7 @@ mod tests {
 
     #[test]
     fn whitespace_variants_share_one_entry() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         svc.handle_line(Q);
         let (resp, _) = svc.handle_line("query   exists x.  exists y. R(x) &  S(x,y)");
         assert!(resp.contains("p = 0.400000"), "{resp}");
@@ -1183,7 +1141,7 @@ mod tests {
 
     #[test]
     fn insert_invalidates_by_version_bump() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (before, _) = svc.handle_line(Q);
         assert!(before.contains("p = 0.400000"), "{before}");
         let v0 = svc.db_version();
@@ -1198,7 +1156,7 @@ mod tests {
 
     #[test]
     fn classify_is_cached_across_inserts() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (v, _) = svc.handle_line("classify R(x), S(x,y), T(y)");
         assert_eq!(v, "#P-hard\n");
         svc.handle_line("insert R 9 0.1");
@@ -1213,7 +1171,7 @@ mod tests {
 
     #[test]
     fn errors_are_reported_and_counted() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (resp, keep) = svc.handle_line("query R(x) @@@");
         assert!(resp.starts_with("error:"), "{resp}");
         assert!(keep);
@@ -1225,7 +1183,7 @@ mod tests {
 
     #[test]
     fn stats_payload_has_every_section() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         svc.handle_line(Q);
         svc.handle_line(Q);
         let (text, _) = svc.handle_line("stats");
@@ -1249,7 +1207,7 @@ mod tests {
 
     #[test]
     fn unrelated_insert_keeps_ucq_cache_entries_live() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (first, _) = svc.handle_line(Q);
         assert!(first.contains("p = 0.400000"), "{first}");
         // Z is not mentioned by Q: the relation-version key is unchanged.
@@ -1267,7 +1225,7 @@ mod tests {
     fn universal_queries_fall_back_to_the_global_version_key() {
         let mut db = ProbDb::new();
         db.insert("R", [1], 0.5);
-        let svc = Service::new(db, inline_opts());
+        let svc = Service::new(db, no_deadline_opts());
         // ∀ answers depend on the active domain: ANY insert may change them.
         let q = "query forall x. R(x)";
         let (before, _) = svc.handle_line(q);
@@ -1281,7 +1239,7 @@ mod tests {
 
     #[test]
     fn update_changes_probability_and_rejects_absent_tuples() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (ok, _) = svc.handle_line("update R 1 0.25");
         assert_eq!(ok, "");
         let (resp, _) = svc.handle_line(Q);
@@ -1297,7 +1255,7 @@ mod tests {
 
     #[test]
     fn view_lifecycle_over_the_service() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (created, _) = svc.handle_line("view create v query exists x. exists y. R(x) & S(x,y)");
         assert_eq!(created, "view v: 1 row(s) materialized (circuit)\n");
         assert_eq!(svc.view_count(), 1);
@@ -1336,7 +1294,7 @@ mod tests {
 
     #[test]
     fn answers_view_over_the_service() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (created, _) = svc.handle_line("view create pa answers x : R(x), S(x,y)");
         assert_eq!(created, "view pa: 1 row(s) materialized (circuit)\n");
         let (shown, _) = svc.handle_line("view show pa");
@@ -1347,7 +1305,7 @@ mod tests {
 
     #[test]
     fn quit_closes_session() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         assert!(!svc.handle_line("quit").1);
         assert!(!svc.handle_line("exit").1);
         assert!(svc.handle_line("help").1);
@@ -1355,92 +1313,162 @@ mod tests {
 
     #[test]
     fn source_is_refused_over_the_wire() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (resp, keep) = svc.handle_line("source /etc/passwd");
         assert!(resp.starts_with("error: source is not available"), "{resp}");
         assert!(keep);
     }
 
-    #[test]
-    fn timeout_degrades_to_the_approximate_engine() {
-        // A 1 ns budget can essentially never be met (the helper thread
-        // alone takes microseconds to start), so the service must fall back
-        // to the approximate path instead of blocking. "Essentially": if
-        // the test thread is descheduled right after spawning the helper,
-        // the helper can legitimately finish first and the exact answer is
-        // (correctly) returned — so retry on a fresh service instead of
-        // failing on that scheduler fluke.
-        for attempt in 0..5 {
-            let mut db = ProbDb::new();
-            for i in 0..6u64 {
-                db.insert("R", [i], 0.3);
-                db.insert("T", [i], 0.4);
-                for j in 0..6u64 {
-                    db.insert("S", [i, j], 0.5);
-                }
+    /// The complete bipartite H₀ instance on `n` constants per side.
+    fn h0_db(n: u64) -> ProbDb {
+        let mut db = ProbDb::new();
+        for i in 0..n {
+            db.insert("R", [i], 0.3);
+            db.insert("T", [i], 0.4);
+            for j in 0..n {
+                db.insert("S", [i, j], 0.5);
             }
-            let svc = Service::new(
-                db,
-                ServiceOptions {
-                    query_timeout: Duration::from_nanos(1),
-                    cache_capacity: 16,
-                    degraded_samples: 5_000,
-                    ..ServiceOptions::default()
-                },
-            );
-            let (resp, _) = svc.handle_line("query exists x. exists y. R(x) & S(x,y) & T(y)");
-            if !resp.contains("(engine: Approximate)") {
-                eprintln!("attempt {attempt}: helper beat the 1 ns budget: {resp}");
-                continue;
-            }
-            assert_eq!(svc.stats().timeouts(), 1);
-            // The degraded estimate still lands near the truth (plan bounds
-            // clamp it); sanity-check the printed probability parses.
-            let p: f64 = resp
-                .split_whitespace()
-                .nth(2)
-                .unwrap()
-                .parse()
-                .expect("p value");
-            assert!((0.0..=1.0).contains(&p), "{resp}");
-            return;
         }
-        panic!("helper beat a 1 ns budget five times in a row");
+        db
     }
 
-    #[test]
-    fn late_helper_completion_back_fills_the_cache() {
-        let mut db = ProbDb::new();
-        db.insert("R", [1], 0.5);
-        db.insert("S", [1, 2], 0.8);
-        let svc = Service::new(
-            db,
+    /// The 6×6 H₀ instance (#P-hard, so lifted declines) behind a 1 ns
+    /// budget: the deadline has passed before any stage boundary is reached.
+    fn expired_h0_service() -> Service {
+        Service::new(
+            h0_db(6),
             ServiceOptions {
                 query_timeout: Duration::from_nanos(1),
                 cache_capacity: 16,
+                degraded_samples: 5_000,
+                ..ServiceOptions::default()
+            },
+        )
+    }
+
+    const H0: &str = "exists x. exists y. R(x) & S(x,y) & T(y)";
+
+    #[test]
+    fn timeout_degrades_to_the_approximate_engine() {
+        let svc = expired_h0_service();
+        let (resp, _) = svc.handle_line(&format!("query {H0}"));
+        assert!(resp.contains("(engine: Approximate)"), "{resp}");
+        assert_eq!(svc.stats().timeouts(), 1);
+        assert!(svc.stats_text().contains("timeouts: 1"));
+        // The degraded estimate still lands near the truth (plan bounds
+        // clamp it); sanity-check the printed probability parses.
+        let p: f64 = resp
+            .split_whitespace()
+            .nth(2)
+            .unwrap()
+            .parse()
+            .expect("p value");
+        assert!((0.0..=1.0).contains(&p), "{resp}");
+        // Nothing finishes the exact run behind the reply: the degraded
+        // answer is not cached and the repeat is evaluated (and times out)
+        // again.
+        assert_eq!(svc.cache_len(), 0);
+        svc.handle_line(&format!("query {H0}"));
+        assert_eq!(svc.stats().cache_hits(), 0);
+        assert_eq!(svc.stats().timeouts(), 2);
+    }
+
+    #[test]
+    fn a_lifted_answer_is_returned_however_late() {
+        let svc = expired_h0_service();
+        let (resp, _) = svc.handle_line(Q);
+        assert!(resp.contains("(engine: Lifted)"), "{resp}");
+        assert_eq!(svc.stats().timeouts(), 0);
+        assert_eq!(svc.cache_len(), 1);
+    }
+
+    #[test]
+    fn answers_and_open_reply_with_the_typed_error_past_the_deadline() {
+        for line in [
+            "answers x : R(x), S(x,y)".to_string(),
+            format!("open 0.1 {H0}"),
+        ] {
+            let svc = expired_h0_service();
+            let (resp, keep) = svc.handle_line(&line);
+            assert!(keep, "{line}");
+            let ms = resp
+                .strip_prefix("error: deadline exceeded after ")
+                .and_then(|rest| rest.strip_suffix(" ms\n"))
+                .unwrap_or_else(|| panic!("{line}: {resp}"));
+            ms.parse::<u64>().expect("elapsed milliseconds");
+            assert_eq!(svc.stats().timeouts(), 1, "{line}");
+        }
+    }
+
+    #[test]
+    fn a_timed_out_explain_renders_one_well_formed_tree() {
+        use pdb_obs::SpanRecord;
+        fn stages(records: &[SpanRecord], parent: Option<u32>) -> Vec<&'static str> {
+            records
+                .iter()
+                .filter(|r| r.parent == parent)
+                .map(|r| r.stage.name())
+                .collect()
+        }
+        fn attr(r: &SpanRecord, key: &str) -> Option<String> {
+            r.attrs
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.to_string())
+        }
+        let last_records = |svc: &Service| {
+            let capture = lock(&svc.inner.last_trace);
+            capture.as_ref().expect("explain captured").tracer.records()
+        };
+
+        // The clock trips at the first stage boundary: no compile/ground
+        // under the root, the whole cascade again under `degrade`.
+        let svc = expired_h0_service();
+        let (resp, _) = svc.handle_line(&format!("explain analyze {H0}"));
+        assert!(resp.contains("(engine: Approximate)"), "{resp}");
+        let records = last_records(&svc);
+        pdb_obs::check_well_formed(&records).unwrap();
+        let root = records.iter().find(|r| r.parent.is_none()).unwrap();
+        assert_eq!(records.iter().filter(|r| r.parent.is_none()).count(), 1);
+        assert_eq!(
+            stages(&records, Some(root.id)),
+            ["parse", "cache", "lifted", "degrade"]
+        );
+        let degrade = records.iter().find(|r| r.stage == Stage::Degrade).unwrap();
+        assert_eq!(
+            stages(&records, Some(degrade.id)),
+            ["lifted", "compile", "ground", "sample", "bounds"]
+        );
+        assert_eq!(attr(degrade, "reason").as_deref(), Some("deadline"));
+        assert!(attr(degrade, "elapsed_us").is_some());
+        assert!(attr(degrade, "samples").is_some());
+
+        // The clock trips inside DPLL: `compile` and `ground` run under the
+        // root first, and `ground` says the clock (not the decision budget)
+        // stopped it. 12×12 takes the exact counter far longer than 3 ms.
+        let svc = Service::new(
+            h0_db(12),
+            ServiceOptions {
+                query_timeout: Duration::from_millis(3),
                 degraded_samples: 1_000,
                 ..ServiceOptions::default()
             },
         );
-        let (first, _) = svc.handle_line(Q);
-        assert!(first.contains("p ="), "{first}");
-        // Wait for the helper thread to finish and back-fill.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while svc.inflight_helpers() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(svc.inflight_helpers(), 0, "helper never finished");
+        let (resp, _) = svc.handle_line(&format!("explain analyze {H0}"));
+        assert!(resp.contains("(engine: Approximate)"), "{resp}");
+        let records = last_records(&svc);
+        pdb_obs::check_well_formed(&records).unwrap();
+        let root = records.iter().find(|r| r.parent.is_none()).unwrap();
         assert_eq!(
-            svc.cache_len(),
-            1,
-            "helper should have cached the exact answer"
+            stages(&records, Some(root.id)),
+            ["parse", "cache", "lifted", "compile", "ground", "degrade"]
         );
-        let (second, _) = svc.handle_line(Q);
-        assert!(
-            second.contains("p = 0.400000") && second.contains("(engine: Lifted)"),
-            "cache hit should serve the exact lifted answer: {second}"
-        );
-        assert_eq!(svc.stats().cache_hits(), 1);
+        let ground = records
+            .iter()
+            .find(|r| r.stage == Stage::Ground && r.parent == Some(root.id))
+            .unwrap();
+        assert_eq!(attr(ground, "deadline").as_deref(), Some("true"));
+        assert_eq!(attr(ground, "within_budget").as_deref(), Some("false"));
     }
 
     #[test]
@@ -1450,7 +1478,7 @@ mod tests {
         let dir = std::path::Path::new("data");
         {
             let (store, rec) = Store::open(fs.clone(), dir, StoreOptions::default()).unwrap();
-            let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+            let svc = Service::with_store(rec.db, rec.views, store, no_deadline_opts());
             assert!(svc.has_store());
             svc.handle_line("insert R 1 0.5");
             svc.handle_line("insert S 1 2 0.8");
@@ -1466,7 +1494,7 @@ mod tests {
         // replay compiles it exactly once — snapshot-resident views resume
         // without any compile (see the pdb-store checkpoint tests).
         assert_eq!(rec.views.recompiles(), 1);
-        let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+        let svc = Service::with_store(rec.db, rec.views, store, no_deadline_opts());
         let (shown, _) = svc.handle_line("view show v");
         assert!(shown.contains("p = 0.200000"), "{shown}");
         let (q, _) = svc.handle_line(Q);
@@ -1499,7 +1527,7 @@ mod tests {
                 ..StoreOptions::default()
             };
             let (store, rec) = Store::open(fs.clone(), dir, sopts.clone()).unwrap();
-            let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+            let svc = Service::with_store(rec.db, rec.views, store, no_deadline_opts());
             for line in script {
                 let (resp, _) = svc.handle_line(line);
                 assert!(!resp.starts_with("error"), "{line}: {resp}");
@@ -1551,7 +1579,7 @@ mod tests {
             let fs = FailpointFs::new(Arc::new(MemFs::new()));
             let (store, rec) =
                 Store::open(Arc::new(fs.clone()), dir, StoreOptions::default()).unwrap();
-            let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+            let svc = Service::with_store(rec.db, rec.views, store, no_deadline_opts());
             let (_, feed) = svc.replication_sync(0).unwrap();
             for line in PRELUDE {
                 let (resp, _) = svc.handle_line(line);
@@ -1604,7 +1632,7 @@ mod tests {
             let (store, rec) = Store::open(Arc::new(fs), dir, StoreOptions::default()).unwrap();
             assert_eq!(rec.info.replayed_ops, 3, "{failing}");
             assert!(rec.info.truncated_bytes > 0, "{failing}");
-            let recovered = Service::with_store(rec.db, rec.views, store, inline_opts());
+            let recovered = Service::with_store(rec.db, rec.views, store, no_deadline_opts());
             assert_eq!(read_all(&recovered), acked, "{failing}");
         }
     }
@@ -1615,7 +1643,7 @@ mod tests {
         let fs = Arc::new(MemFs::new());
         let dir = std::path::Path::new("data");
         let (store, rec) = Store::open(fs.clone(), dir, StoreOptions::default()).unwrap();
-        let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+        let svc = Service::with_store(rec.db, rec.views, store, no_deadline_opts());
         let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let flag = Arc::clone(&fired);
         svc.set_shutdown_hook(move || flag.store(true, Ordering::Release));
@@ -1635,7 +1663,7 @@ mod tests {
 
     #[test]
     fn save_and_open_are_refused_over_the_wire() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         for line in ["save out.pdb", "open out.pdb"] {
             let (resp, keep) = svc.handle_line(line);
             assert!(resp.starts_with("error:"), "{line}: {resp}");
@@ -1645,7 +1673,7 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_agree_with_single_threaded_evaluation() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let mut reference = ProbDb::new();
         reference.insert("R", [1], 0.5);
         reference.insert("S", [1, 2], 0.8);
@@ -1678,7 +1706,7 @@ mod tests {
     #[test]
     fn a_replica_service_refuses_every_write_and_serves_reads() {
         let status = Arc::new(ReplicaStatus::new());
-        let svc = Service::new_replica("127.0.0.1:9", Arc::clone(&status), inline_opts());
+        let svc = Service::new_replica("127.0.0.1:9", Arc::clone(&status), no_deadline_opts());
         assert!(svc.is_replica());
         for line in [
             "insert R 1 0.5",
@@ -1717,7 +1745,7 @@ mod tests {
         let fs = Arc::new(MemFs::new());
         let (store, rec) =
             Store::open(fs, std::path::Path::new("data"), StoreOptions::default()).unwrap();
-        let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+        let svc = Service::with_store(rec.db, rec.views, store, no_deadline_opts());
         svc.handle_line("insert R 1 0.5");
         svc.handle_line("insert S 1 2 0.8");
         // LSN 0 is unservable from the log's perspective only for a fresh
@@ -1764,12 +1792,12 @@ mod tests {
     #[test]
     fn snapshot_install_replaces_state_and_resumes_the_stream() {
         // Primary with two tuples and a view.
-        let primary = seeded_service(inline_opts());
+        let primary = seeded_service(no_deadline_opts());
         primary.handle_line("view create v query exists x. exists y. R(x) & S(x,y)");
         let image = primary.snapshot_image(7);
         // Replica starts empty, installs the image, then applies a record.
         let status = Arc::new(ReplicaStatus::new());
-        let replica = Service::new_replica("nowhere:0", status, inline_opts());
+        let replica = Service::new_replica("nowhere:0", status, no_deadline_opts());
         assert_eq!(replica.install_snapshot(&image).unwrap(), 7);
         let (shown, _) = replica.handle_line("view show v");
         assert!(shown.contains("p = 0.400000"), "{shown}");
@@ -1788,7 +1816,7 @@ mod tests {
 
     #[test]
     fn explain_analyze_renders_the_cascade_span_tree() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         let (resp, keep) = svc.handle_line("explain analyze exists x. exists y. R(x) & S(x,y)");
         assert!(keep);
         assert!(resp.contains("p = 0.400000"), "{resp}");
@@ -1813,7 +1841,7 @@ mod tests {
 
     #[test]
     fn trace_last_without_a_capture_points_at_explain() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         svc.handle_line(Q); // not traced: no slowlog threshold configured
         let (resp, _) = svc.handle_line("trace last");
         assert!(resp.contains("no trace captured"), "{resp}");
@@ -1824,7 +1852,7 @@ mod tests {
         let svc = seeded_service(ServiceOptions {
             // Zero threshold: every query is "slow" and gets captured.
             slowlog_threshold: Some(Duration::ZERO),
-            ..inline_opts()
+            ..no_deadline_opts()
         });
         let (empty, _) = svc.handle_line("slowlog");
         assert_eq!(empty, "(slowlog empty)\n");
@@ -1844,7 +1872,7 @@ mod tests {
 
     #[test]
     fn metrics_exposition_is_valid_and_covers_every_crate() {
-        let svc = seeded_service(inline_opts());
+        let svc = seeded_service(no_deadline_opts());
         svc.handle_line(Q);
         let (text, keep) = svc.handle_line("metrics");
         assert!(keep);
@@ -1883,7 +1911,7 @@ mod tests {
         let fs = Arc::new(MemFs::new());
         let (store, rec) =
             Store::open(fs, std::path::Path::new("data"), StoreOptions::default()).unwrap();
-        let svc = Service::with_store(rec.db, rec.views, store, inline_opts());
+        let svc = Service::with_store(rec.db, rec.views, store, no_deadline_opts());
         svc.handle_line("insert R 1 0.5");
         let (_frames, feed) = svc.replication_sync(0).unwrap();
         svc.handle_line("shutdown");

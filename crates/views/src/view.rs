@@ -36,9 +36,9 @@ use crate::persist::{CircuitState, RowState, ViewDefState, ViewState};
 use pdb_compile::DecisionDnnf;
 use pdb_core::{Answer, AnswerTuple, EngineError, Method, ProbDb, QueryOptions};
 use pdb_data::Tuple;
-use pdb_lineage::{BoolExpr, Cnf};
+use pdb_lineage::BoolExpr;
 use pdb_logic::{Cq, Fo, Term, Var};
-use pdb_wmc::{Dpll, DpllOptions};
+use pdb_wmc::DpllOptions;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -808,9 +808,9 @@ fn build_rows(opts: &ViewOptions, view: &mut View, db: &ProbDb) -> Result<(), En
     Ok(())
 }
 
-/// Compiles one answer row: lineage → CNF (the same three encodings the
-/// engine's exact path uses) → DPLL trace → cached circuit; falls back
-/// to the full cascade when the decision budget aborts the compilation.
+/// Compiles one answer row: lineage → DPLL trace ([`pdb_wmc::count_expr`],
+/// the engine's exact path) → cached circuit; falls back to the full
+/// cascade when the decision budget aborts the compilation.
 fn compile_row(
     view_opts: &ViewOptions,
     fo: &Fo,
@@ -819,55 +819,32 @@ fn compile_row(
     index: &pdb_data::TupleIndex,
     probs: &[f64],
 ) -> Result<ViewRow, EngineError> {
-    let index_len = probs.len() as u32;
     let lineage = pdb_lineage::lineage(fo, db.tuple_db(), index);
-    if let BoolExpr::Const(b) = lineage {
-        let circuit = IncrementalCircuit::constant(b);
-        return Ok(ViewRow {
+    let circuit = if let BoolExpr::Const(b) = lineage {
+        Some(IncrementalCircuit::constant(b))
+    } else {
+        let opts = DpllOptions {
+            record_trace: true,
+            max_decisions: view_opts.compile_budget,
+            ..Default::default()
+        };
+        // The engine's own exact count, asked for its trace (which makes
+        // it the sequential counter on this task; rows fan out above).
+        pdb_wmc::count_expr(&lineage, probs, opts, &pdb_par::current())
+            .trace
+            .map(|t| {
+                let dd = DecisionDnnf::from_trace(&t.trace);
+                IncrementalCircuit::new(&dd, t.leaf_probs, t.negated, t.scale)
+            })
+    };
+    match circuit {
+        Some(circuit) => Ok(ViewRow {
             values,
             probability: circuit.probability(),
             bounds: None,
             method: Method::Grounded,
             backend: RowBackend::Circuit(Box::new(circuit)),
-        });
-    }
-    let opts = DpllOptions {
-        record_trace: true,
-        max_decisions: view_opts.compile_budget,
-        ..Default::default()
-    };
-    // Mirror the engine's CNF selection (`pdb-core`): negate a monotone
-    // DNF, encode directly when the shape allows, Tseitin otherwise.
-    let compiled = if lineage.is_monotone_dnf() {
-        let cnf = Cnf::from_negated_dnf(&lineage, index_len);
-        let r = Dpll::new(&cnf, probs.to_vec(), opts).run();
-        let trace = if r.aborted { None } else { r.trace };
-        trace.map(|t| (t, true, 1.0, probs.to_vec()))
-    } else if let Some(cnf) = Cnf::from_expr_direct(&lineage, index_len) {
-        let r = Dpll::new(&cnf, probs.to_vec(), opts).run();
-        let trace = if r.aborted { None } else { r.trace };
-        trace.map(|t| (t, false, 1.0, probs.to_vec()))
-    } else {
-        let cnf = Cnf::tseitin(&lineage, index_len);
-        let aux = cnf.aux_vars();
-        let mut all = probs.to_vec();
-        all.resize(cnf.num_vars as usize, 0.5);
-        let r = Dpll::new(&cnf, all.clone(), opts).run();
-        let trace = if r.aborted { None } else { r.trace };
-        trace.map(|t| (t, false, 2f64.powi(aux as i32), all))
-    };
-    match compiled {
-        Some((trace, negated, scale, leaf_probs)) => {
-            let dd = DecisionDnnf::from_trace(&trace);
-            let circuit = IncrementalCircuit::new(&dd, leaf_probs, negated, scale);
-            Ok(ViewRow {
-                values,
-                probability: circuit.probability(),
-                bounds: None,
-                method: Method::Grounded,
-                backend: RowBackend::Circuit(Box::new(circuit)),
-            })
-        }
+        }),
         None => {
             // Compilation too large: fall back to the cascade (lifted /
             // approximate with dissociation bounds).

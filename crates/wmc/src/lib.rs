@@ -14,8 +14,9 @@
 //!   classical fallback for #P-hard queries,
 //! * [`monte_carlo`] — naive world sampling (unbiased but not an FPRAS;
 //!   the ablation baseline that motivates Karp–Luby),
-//! * [`prob`] — a convenience front-end dispatching an arbitrary
-//!   [`pdb_lineage::BoolExpr`] to the right counter.
+//! * [`prob`] — the front-end that picks the CNF encoding for an arbitrary
+//!   [`pdb_lineage::BoolExpr`] and counts it ([`count_expr`]; the engine's
+//!   exact path, view compilation and [`probability_of_expr`] all call it).
 //!
 //! Probabilities may be non-standard (outside `[0,1]`) throughout; only the
 //! sampling-based estimator requires standard values.
@@ -30,4 +31,4 @@ pub use dpll::{
     clone_stats, run_parallel, CloneStats, Dpll, DpllOptions, DpllResult, DpllStats, Trace,
     TraceNode, TraceNodeId,
 };
-pub use prob::{probability_of_expr, probability_of_query};
+pub use prob::{count_expr, probability_of_expr, probability_of_query, ExprCount, ExprTrace};

@@ -28,8 +28,7 @@ use probdb::ProbDb;
 use std::io::{BufRead, Write};
 
 /// The shell's engine: the server's own [`Service`], in process — no
-/// store, and no query timeout, so every answer is computed inline and in
-/// full. Whatever `probdb-serve` would reply to a line, the shell prints.
+/// store, and no query deadline, so every answer is computed in full. Whatever `probdb-serve` would reply to a line, the shell prints.
 fn shell_service() -> Service {
     Service::new(
         ProbDb::new(),

@@ -19,8 +19,10 @@
 //! - `--threads N` — engine thread-pool size shared by every query
 //!   (parallel DPLL components, Karp–Luby chunks, answer rows, view
 //!   builds); defaults to `PROBDB_THREADS`, else the hardware parallelism
-//! - `--timeout-ms MS` — per-query wall-clock budget before degrading to
-//!   the approximate engine; `0` disables (default 10000)
+//! - `--timeout-ms MS` — wall-clock budget per `query`/`answers`/`open`,
+//!   checked by the engine itself: when it runs out the exact work stops
+//!   and a `query` degrades to the approximate engine (`answers`/`open`
+//!   reply `deadline exceeded`); `0` disables (default 10000)
 //! - `--cache-capacity N` — result-cache entries (default 1024)
 //! - `--slowlog-threshold MS` — trace every query and capture any that
 //!   takes at least MS milliseconds into the slowlog ring (`slowlog` /
