@@ -67,7 +67,6 @@ const A1_ROOTS: &[(&str, &str, Option<&str>)] = &[
     ("kernel", "force_true", None),
     ("kernel", "first_satisfied", None),
     ("wmc", "solve", None),
-    ("wmc", "par_solve", None),
     ("wmc", "sample_hits", None),
 ];
 

@@ -228,7 +228,8 @@ mod tests {
         assert!(!f.eval_into(&[], &mut scratch));
         // Empty builder is the constant false.
         assert!(!BoolBuilder::new().finish().eval(&[true]));
-        assert!(BoolBuilder::new().len() == 0 && BoolBuilder::new().is_empty());
+        assert_eq!(BoolBuilder::new().len(), 0);
+        assert!(BoolBuilder::new().is_empty());
     }
 
     #[test]

@@ -16,24 +16,27 @@
 //! `pdb-compile` re-exports it as a decision-DNNF circuit, and the Theorem 7.1
 //! experiments measure its size.
 //!
+//! [`Dpll::run`] and [`run_parallel`] are one recursion over one component
+//! cache. It forks near the root only on a pool of more than one thread
+//! with no trace requested; otherwise every step runs in serial order.
+//!
 //! ## The de-allocated hot path
 //!
 //! Clause storage is **interned once** per run: working sets are
 //! `Vec<Arc<Clause>>`, so conditioning shares every untouched clause by
-//! reference-count bump instead of deep-cloning it per branch (and
-//! [`run_parallel`] hands the interned root set to its forks without the
-//! former per-branch `clauses.clone()`). Component-cache probes compute a
+//! reference-count bump instead of deep-cloning it per branch, and forks
+//! receive their clause sets the same way. Component-cache probes compute a
 //! cheap commutative 64-bit **prefilter hash** first; the canonical
 //! `Vec<i32>` key is materialized — into a reusable scratch buffer, not a
 //! fresh allocation — only when a bucket with that hash already exists,
-//! and is allocated only when a new entry is actually stored. The
-//! [`clone_stats`] counters make the "zero per-branch clause clones"
-//! property observable (asserted by `e15_kernel`).
+//! and is allocated only when a new entry is actually stored. Lint A1 of
+//! `pdb-analyze` keeps it that way: a new allocation reachable from the
+//! recursion fails the workspace check.
 
 use pdb_lineage::{Clause, Cnf};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Tuning knobs for the counter (each maps to a §7 concept).
@@ -94,71 +97,6 @@ pub struct DpllStats {
     pub component_splits: u64,
     /// Maximum recursion depth reached.
     pub max_depth: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Clause-storage accounting
-// ---------------------------------------------------------------------------
-
-/// Deep `Clause` copies taken when interning a CNF at the start of a run
-/// (one per input clause — the only place whole clauses are copied).
-static INTERNED_CLAUSES: AtomicU64 = AtomicU64::new(0);
-/// Untouched clauses carried into a branch by `Arc` reference-count bump.
-static SHARED_CLAUSES: AtomicU64 = AtomicU64::new(0);
-/// New (shorter) clauses allocated because conditioning removed a literal —
-/// inherent to Shannon expansion, not a copy of an existing clause.
-static REDUCED_CLAUSES: AtomicU64 = AtomicU64::new(0);
-/// Whole-clause deep copies taken **per branch** — the pre-kernel hot-path
-/// allocation. No remaining code path increments this; the counter exists
-/// so tests and `e15_kernel` can assert it stays zero.
-static CLONED_CLAUSES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-global clause-storage counters (cumulative across runs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CloneStats {
-    /// Deep copies at interning time (run setup; one per input clause).
-    pub interned: u64,
-    /// Untouched clauses shared into branches via `Arc` (no allocation).
-    pub shared: u64,
-    /// Shorter clauses allocated by literal removal during conditioning.
-    pub reduced: u64,
-    /// Per-branch whole-clause deep copies. Stays 0: the clone sites were
-    /// removed when clause storage was interned.
-    pub cloned: u64,
-}
-
-/// Reads the cumulative clause-storage counters.
-pub fn clone_stats() -> CloneStats {
-    CloneStats {
-        interned: INTERNED_CLAUSES.load(Ordering::Relaxed),
-        shared: SHARED_CLAUSES.load(Ordering::Relaxed),
-        reduced: REDUCED_CLAUSES.load(Ordering::Relaxed),
-        cloned: CLONED_CLAUSES.load(Ordering::Relaxed),
-    }
-}
-
-/// Per-run clause-storage tally, accumulated locally (no atomic traffic in
-/// the hot loop) and flushed to the globals when a run or fork finishes.
-#[derive(Clone, Copy, Debug, Default)]
-struct CloneTally {
-    shared: u64,
-    reduced: u64,
-}
-
-fn flush_tally(t: &CloneTally) {
-    if t.shared > 0 {
-        SHARED_CLAUSES.fetch_add(t.shared, Ordering::Relaxed);
-    }
-    if t.reduced > 0 {
-        REDUCED_CLAUSES.fetch_add(t.reduced, Ordering::Relaxed);
-    }
-}
-
-/// Interns a CNF's clauses for a run: the single place whole clauses are
-/// deep-copied. Every branch afterwards shares them through the `Arc`s.
-fn intern(cnf: &Cnf) -> Vec<Arc<Clause>> {
-    INTERNED_CLAUSES.fetch_add(cnf.clauses.len() as u64, Ordering::Relaxed);
-    cnf.clauses.iter().map(|c| Arc::new(c.clone())).collect()
 }
 
 /// Identifier of a trace node.
@@ -230,48 +168,34 @@ impl Trace {
     /// Number of nodes *reachable from the root* — the size measure used in
     /// the Theorem 7.1 experiments.
     pub fn reachable_size(&self) -> usize {
-        let Some(root) = self.root else { return 0 };
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![root];
-        let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id.0 as usize], true) {
-                continue;
-            }
-            count += 1;
-            match &self.nodes[id.0 as usize] {
-                TraceNode::True | TraceNode::False => {}
-                TraceNode::Decision { hi, lo, .. } => {
-                    stack.push(*hi);
-                    stack.push(*lo);
-                }
-                TraceNode::And { children } => stack.extend(children.iter().copied()),
-            }
-        }
-        count
+        self.reachable().count()
     }
 
     /// Number of decision nodes reachable from the root.
     pub fn decision_count(&self) -> usize {
-        let Some(root) = self.root else { return 0 };
+        let decision = |n: &&TraceNode| matches!(n, TraceNode::Decision { .. });
+        self.reachable().filter(decision).count()
+    }
+
+    /// Every node reachable from the root, once each (none without a root).
+    fn reachable(&self) -> impl Iterator<Item = &TraceNode> {
         let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![root];
-        let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id.0 as usize], true) {
-                continue;
-            }
-            match &self.nodes[id.0 as usize] {
-                TraceNode::True | TraceNode::False => {}
-                TraceNode::Decision { hi, lo, .. } => {
-                    count += 1;
-                    stack.push(*hi);
-                    stack.push(*lo);
+        let mut stack: Vec<TraceNodeId> = self.root.into_iter().collect();
+        std::iter::from_fn(move || {
+            while let Some(id) = stack.pop() {
+                if std::mem::replace(&mut seen[id.0 as usize], true) {
+                    continue;
                 }
-                TraceNode::And { children } => stack.extend(children.iter().copied()),
+                let node = &self.nodes[id.0 as usize];
+                match node {
+                    TraceNode::True | TraceNode::False => {}
+                    TraceNode::Decision { hi, lo, .. } => stack.extend([*hi, *lo]),
+                    TraceNode::And { children } => stack.extend(children.iter().copied()),
+                }
+                return Some(node);
             }
-        }
-        count
+            None
+        })
     }
 
     /// Evaluates the trace as a circuit on an assignment (for validation:
@@ -309,31 +233,14 @@ pub struct DpllResult {
     pub aborted: bool,
 }
 
-/// Sequential component cache: buckets of `(exact key, value)` pairs keyed
-/// by the commutative prefilter hash. A probe whose hash has no bucket
-/// skips key materialization entirely; the exact comparison backs the
-/// (rare) hash collisions.
-type SeqCache = HashMap<u64, Vec<(Vec<i32>, (f64, TraceNodeId))>>;
+/// A solved (sub)formula: its probability and its trace node.
+type Solved = (f64, TraceNodeId);
 
 /// The counter itself. Create with [`Dpll::new`], run with [`Dpll::run`].
 pub struct Dpll {
     clauses: Vec<Arc<Clause>>,
     probs: Vec<f64>,
     options: DpllOptions,
-    order_rank: Vec<u32>,
-    stats: DpllStats,
-    trace: Trace,
-    cache: SeqCache,
-    /// Reusable per-variable occurrence buffer for [`Dpll::pick_var`]
-    /// (all-zero between calls), replacing a per-call `HashMap`.
-    counts: Vec<u32>,
-    /// Reusable clause-index sort buffer for [`serialize_into`].
-    sort_scratch: Vec<u32>,
-    /// Reusable canonical-key buffer: cache probes serialize into this
-    /// instead of allocating a fresh `Vec<i32>` per probe.
-    key_scratch: Vec<i32>,
-    tally: CloneTally,
-    aborted: bool,
 }
 
 impl Dpll {
@@ -343,148 +250,258 @@ impl Dpll {
     pub fn new(cnf: &Cnf, probs: Vec<f64>, options: DpllOptions) -> Dpll {
         assert_eq!(probs.len() as u32, cnf.num_vars, "one probability per var");
         Dpll {
-            clauses: intern(cnf),
+            // The single place whole clauses are deep-copied: every branch
+            // afterwards shares them through the `Arc`s.
+            clauses: cnf.clauses.iter().map(|c| Arc::new(c.clone())).collect(),
             probs,
-            order_rank: order_rank(&options, cnf.num_vars),
             options,
-            stats: DpllStats::default(),
-            trace: Trace::new(),
-            cache: HashMap::new(),
-            counts: vec![0; cnf.num_vars as usize],
-            sort_scratch: Vec::new(),
-            key_scratch: Vec::new(),
-            tally: CloneTally::default(),
-            aborted: false,
         }
     }
 
-    /// Runs the counter.
-    pub fn run(mut self) -> DpllResult {
-        let clauses = std::mem::take(&mut self.clauses);
-        let (p, node) = self.solve(clauses, 0);
-        self.trace.root = Some(node);
-        flush_tally(&self.tally);
+    /// Runs the counter on the calling thread.
+    pub fn run(self) -> DpllResult {
+        self.run_on(&pdb_par::Pool::new(1))
+    }
+
+    fn run_on(self, pool: &pdb_par::Pool) -> DpllResult {
+        let options = &self.options;
+        let ctx = Ctx {
+            probs: &self.probs,
+            options,
+            order_rank: order_rank(options, self.probs.len()),
+            pool,
+            fork: pool.threads() > 1 && !options.record_trace,
+            cache: Cache::default(),
+            decisions: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            component_splits: AtomicU64::new(0),
+            max_depth: AtomicU64::new(0),
+            aborted: AtomicBool::new(false),
+        };
+        let mut task = Task::new(&ctx);
+        let (p, root) = solve(&ctx, &mut task, self.clauses, 0);
+        let aborted = ctx.aborted.load(Ordering::Acquire);
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         DpllResult {
-            probability: if self.aborted { f64::NAN } else { p },
-            stats: self.stats,
-            trace: (self.options.record_trace && !self.aborted).then_some(self.trace),
-            aborted: self.aborted,
-        }
-    }
-
-    /// Probes the cache: on a prefilter-hash bucket, materializes the
-    /// canonical key into the reusable scratch and compares exactly.
-    fn cache_probe(&mut self, h: u64, clauses: &[Arc<Clause>]) -> Option<(f64, TraceNodeId)> {
-        let bucket = self.cache.get(&h)?;
-        serialize_into(clauses, &mut self.sort_scratch, &mut self.key_scratch);
-        bucket
-            .iter()
-            .find(|(k, _)| *k == self.key_scratch)
-            .map(|&(_, v)| v)
-    }
-
-    /// Stores a solved component. The canonical key is (re)built here —
-    /// the scratch may have been overwritten by the recursive solves — and
-    /// this is the only point a key is allocated.
-    fn cache_store(&mut self, h: u64, clauses: &[Arc<Clause>], value: (f64, TraceNodeId)) {
-        serialize_into(clauses, &mut self.sort_scratch, &mut self.key_scratch);
-        let key = self.key_scratch.clone();
-        self.cache.entry(h).or_default().push((key, value));
-        self.stats.cache_misses += 1;
-    }
-
-    fn solve(&mut self, clauses: Vec<Arc<Clause>>, depth: u64) -> (f64, TraceNodeId) {
-        self.stats.max_depth = self.stats.max_depth.max(depth);
-        if self.aborted {
-            return (f64::NAN, Trace::TRUE);
-        }
-        if clauses.is_empty() {
-            return (1.0, Trace::TRUE);
-        }
-        if clauses.iter().any(|c| c.is_empty()) {
-            return (0.0, Trace::FALSE);
-        }
-        // Cache lookup: prefilter hash first, exact key only on a bucket.
-        let hash = if self.options.caching {
-            Some(prefilter_hash(&clauses))
-        } else {
-            None
-        };
-        if let Some(h) = hash {
-            if let Some((p, node)) = self.cache_probe(h, &clauses) {
-                self.stats.cache_hits += 1;
-                return (p, node);
-            }
-        }
-        // Component decomposition.
-        if self.options.components {
-            let comps = split_components(&clauses, &mut self.tally);
-            if comps.len() > 1 {
-                self.stats.component_splits += 1;
-                let mut p = 1.0;
-                let mut children = Vec::with_capacity(comps.len());
-                for comp in comps {
-                    let (cp, cnode) = self.solve(comp, depth + 1);
-                    p *= cp;
-                    children.push(cnode);
-                }
-                let node = if self.options.record_trace {
-                    self.trace.push(TraceNode::And { children })
-                } else {
-                    Trace::TRUE
-                };
-                if let Some(h) = hash {
-                    self.cache_store(h, &clauses, (p, node));
-                }
-                return (p, node);
-            }
-        }
-        // Pick the branch variable: a unit literal's variable if any
-        // (unit propagation as a Shannon step), else the heuristic choice.
-        let var = match clauses.iter().find(|c| c.lits().len() == 1) {
-            Some(unit) => unit.lits()[0].var(),
-            None => self.pick_var(&clauses),
-        };
-        self.stats.decisions += 1;
-        if self.options.exhausted(self.stats.decisions) {
-            self.aborted = true;
-            return (f64::NAN, Trace::TRUE);
-        }
-        let p = self.probs[var as usize];
-        let hi_set = condition(&clauses, var, true, &mut self.tally);
-        let (hi_p, hi_node) = self.solve(hi_set, depth + 1);
-        let lo_set = condition(&clauses, var, false, &mut self.tally);
-        let (lo_p, lo_node) = self.solve(lo_set, depth + 1);
-        let total = p * hi_p + (1.0 - p) * lo_p;
-        let node = if self.options.record_trace {
-            self.trace.push(TraceNode::Decision {
-                var,
-                hi: hi_node,
-                lo: lo_node,
-            })
-        } else {
-            Trace::TRUE
-        };
-        if let Some(h) = hash {
-            self.cache_store(h, &clauses, (total, node));
-        }
-        (total, node)
-    }
-
-    /// Branch-variable heuristic: lowest fixed-order rank if an order was
-    /// given, otherwise the most frequently occurring variable.
-    fn pick_var(&mut self, clauses: &[Arc<Clause>]) -> u32 {
-        if self.options.var_order.is_some() {
-            lowest_rank_var(clauses, &self.order_rank)
-        } else {
-            most_frequent_var(clauses, &mut self.counts)
+            probability: if aborted { f64::NAN } else { p },
+            stats: DpllStats {
+                decisions: get(&ctx.decisions),
+                cache_hits: get(&ctx.cache_hits),
+                cache_misses: get(&ctx.cache_misses),
+                component_splits: get(&ctx.component_splits),
+                max_depth: get(&ctx.max_depth),
+            },
+            trace: task.trace.filter(|_| !aborted).map(|trace| Trace {
+                root: Some(root),
+                ..trace
+            }),
+            aborted,
         }
     }
 }
 
+/// Shared state of one run: what every task reads, plus the cache, the
+/// counters and the abort flag every task writes.
+struct Ctx<'a> {
+    probs: &'a [f64],
+    options: &'a DpllOptions,
+    /// Each variable's position in `options.var_order`.
+    order_rank: Vec<u32>,
+    pool: &'a pdb_par::Pool,
+    /// Fork near the root: more than one thread and no trace (forked tasks
+    /// could not number trace nodes independently of the schedule).
+    fork: bool,
+    cache: Cache,
+    /// The [`DpllStats`] counters every task adds into.
+    decisions: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    component_splits: AtomicU64,
+    max_depth: AtomicU64,
+    /// Set by whichever task trips a budget; every task polls it on entry.
+    aborted: AtomicBool,
+}
+
+/// The component cache, lock-striped by prefilter hash. A forked task never
+/// waits on a stripe another task holds: a busy stripe reads as a miss and
+/// drops the store, harmless because values are deterministic (an unforked
+/// run never finds one busy). A probe whose hash has no bucket skips key
+/// materialization; the exact key comparison backs the rare collisions.
+#[derive(Default)]
+struct Cache {
+    shards: [Mutex<Shard>; 16],
+}
+
+/// One stripe: prefilter hash → bucket of `(exact key, solved)` pairs.
+type Shard = HashMap<u64, Vec<(Vec<i32>, Solved)>>;
+
+impl Cache {
+    fn shard(&self, h: u64) -> Option<MutexGuard<'_, Shard>> {
+        // The prefilter hash is already well mixed; fold the high bits in
+        // so shard choice is not just the low bits of the clause hashes.
+        let i = ((h ^ (h >> 32)) % self.shards.len() as u64) as usize;
+        self.shards[i].try_lock().ok()
+    }
+
+    /// On a bucket for `h`, materializes the canonical key into the task's
+    /// scratch and compares exactly.
+    fn probe(&self, h: u64, clauses: &[Arc<Clause>], task: &mut Task) -> Option<Solved> {
+        let map = self.shard(h)?;
+        let bucket = map.get(&h)?;
+        serialize_into(clauses, &mut task.sort, &mut task.key);
+        bucket.iter().find(|(k, _)| *k == task.key).map(|&(_, v)| v)
+    }
+
+    /// Stores a solved component. The canonical key is (re)built here —
+    /// the scratch may have been overwritten by the recursive solves — and
+    /// this is the only point a key is allocated. Two forked tasks may race
+    /// to solve the same component; the values are deterministic, so the
+    /// first entry stays and the echo is dropped.
+    fn store(&self, h: u64, clauses: &[Arc<Clause>], task: &mut Task, solved: Solved) {
+        serialize_into(clauses, &mut task.sort, &mut task.key);
+        if let Some(mut map) = self.shard(h) {
+            let bucket = map.entry(h).or_default();
+            if !bucket.iter().any(|(k, _)| *k == task.key) {
+                bucket.push((task.key.clone(), solved));
+            }
+        }
+    }
+}
+
+/// Per-task scratch: a run's first task and every fork own one; the
+/// unforked recursion under a task reuses its buffers.
+struct Task {
+    /// Per-variable occurrence buffer for [`most_frequent_var`] (all-zero
+    /// between calls), replacing a per-call `HashMap`.
+    counts: Vec<u32>,
+    /// Clause-index sort buffer for [`serialize_into`].
+    sort: Vec<u32>,
+    /// Canonical-key buffer: cache probes serialize into this instead of
+    /// allocating a fresh `Vec<i32>` per probe.
+    key: Vec<i32>,
+    /// The trace arena when the run records one; a recording run never
+    /// forks, so its one task holds the whole trace.
+    trace: Option<Trace>,
+}
+
+impl Task {
+    fn new(ctx: &Ctx<'_>) -> Task {
+        Task {
+            counts: vec![0; ctx.probs.len()],
+            sort: Vec::new(),
+            key: Vec::new(),
+            trace: ctx.options.record_trace.then(Trace::new),
+        }
+    }
+
+    /// Adds `node` to the trace, when the run records one.
+    fn record(&mut self, node: TraceNode) -> TraceNodeId {
+        self.trace.as_mut().map_or(Trace::TRUE, |t| t.push(node))
+    }
+}
+
+/// Fork parallel work only this close to the root: deeper subproblems are
+/// small and task overhead would dominate.
+const PAR_DEPTH: u64 = 4;
+
+/// The search: cache probe, components (rule (12)), then a Shannon decision
+/// (rule (11)), returning the probability of `clauses` and its trace node.
+/// Forked subproblems get a task of their own, and every floating-point
+/// combination is evaluated in the serial order.
+fn solve(ctx: &Ctx<'_>, task: &mut Task, clauses: Vec<Arc<Clause>>, depth: u64) -> Solved {
+    // Load first: a locked read-modify-write per call shows at one thread.
+    if depth > ctx.max_depth.load(Ordering::Relaxed) {
+        ctx.max_depth.fetch_max(depth, Ordering::Relaxed);
+    }
+    if ctx.aborted.load(Ordering::Relaxed) {
+        return (f64::NAN, Trace::TRUE);
+    }
+    if clauses.is_empty() {
+        return (1.0, Trace::TRUE);
+    }
+    if clauses.iter().any(|c| c.is_empty()) {
+        return (0.0, Trace::FALSE);
+    }
+    // Cache lookup: prefilter hash first, exact key only on a bucket.
+    let hash = ctx.options.caching.then(|| prefilter_hash(&clauses));
+    if let Some(h) = hash {
+        if let Some(hit) = ctx.cache.probe(h, &clauses, task) {
+            ctx.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return hit;
+        }
+    }
+    let fork = ctx.fork && depth < PAR_DEPTH;
+    let components = ctx.options.components.then(|| split_components(&clauses));
+    let solved = match components.filter(|comps| comps.len() > 1) {
+        Some(comps) => {
+            ctx.component_splits.fetch_add(1, Ordering::Relaxed);
+            // Multiply in component order (it is deterministic — components
+            // are sorted by serialization), forked or not.
+            let mut p = 1.0;
+            let mut children = Vec::with_capacity(comps.len());
+            let mut take = |(cp, cnode): Solved| {
+                p *= cp;
+                children.push(cnode);
+            };
+            if fork {
+                ctx.pool
+                    .parallel_map(comps, |comp| {
+                        solve(ctx, &mut Task::new(ctx), comp, depth + 1)
+                    })
+                    .into_iter()
+                    .for_each(&mut take);
+            } else {
+                for comp in comps {
+                    take(solve(ctx, task, comp, depth + 1));
+                }
+            }
+            (p, task.record(TraceNode::And { children }))
+        }
+        None => {
+            // Pick the branch variable: a unit literal's variable if any
+            // (unit propagation as a Shannon step), else the heuristic:
+            // lowest fixed-order rank if an order was given, otherwise the
+            // most frequently occurring variable.
+            let var = match clauses.iter().find(|c| c.lits().len() == 1) {
+                Some(unit) => unit.lits()[0].var(),
+                None if ctx.options.var_order.is_some() => {
+                    lowest_rank_var(&clauses, &ctx.order_rank)
+                }
+                None => most_frequent_var(&clauses, &mut task.counts),
+            };
+            let decisions = ctx.decisions.fetch_add(1, Ordering::Relaxed) + 1;
+            if ctx.options.exhausted(decisions) {
+                ctx.aborted.store(true, Ordering::Release);
+                return (f64::NAN, Trace::TRUE);
+            }
+            let hi_set = condition(&clauses, var, true);
+            let ((hi_p, hi), (lo_p, lo)) = if fork {
+                let lo_set = condition(&clauses, var, false);
+                ctx.pool.join(
+                    || solve(ctx, &mut Task::new(ctx), hi_set, depth + 1),
+                    || solve(ctx, &mut Task::new(ctx), lo_set, depth + 1),
+                )
+            } else {
+                let hi = solve(ctx, task, hi_set, depth + 1);
+                let lo_set = condition(&clauses, var, false);
+                (hi, solve(ctx, task, lo_set, depth + 1))
+            };
+            let p = ctx.probs[var as usize];
+            let node = task.record(TraceNode::Decision { var, hi, lo });
+            (p * hi_p + (1.0 - p) * lo_p, node)
+        }
+    };
+    if let Some(h) = hash {
+        ctx.cache.store(h, &clauses, task, solved);
+        ctx.cache_misses.fetch_add(1, Ordering::Relaxed);
+    }
+    solved
+}
+
 /// Each variable's position in `options.var_order` (`u32::MAX` if unlisted).
-fn order_rank(options: &DpllOptions, num_vars: u32) -> Vec<u32> {
-    let mut order_rank = vec![u32::MAX; num_vars as usize];
+fn order_rank(options: &DpllOptions, num_vars: usize) -> Vec<u32> {
+    let mut order_rank = vec![u32::MAX; num_vars];
     for (rank, &v) in options.var_order.iter().flatten().enumerate() {
         if let Some(slot) = order_rank.get_mut(v as usize) {
             *slot = rank as u32;
@@ -542,280 +559,30 @@ fn most_frequent_var(clauses: &[Arc<Clause>], counts: &mut [u32]) -> u32 {
     best
 }
 
-/// Lock-striped component cache for [`run_parallel`]: prefilter hashes pick
-/// a shard, so concurrent branches contend only when they touch the same
-/// stripe; inside a shard, buckets of `(exact key, value)` pairs back the
-/// hash with an exact comparison. Values are probabilities only — parallel
-/// runs never record traces.
-struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
-}
-
-/// One cache shard: prefilter hash → buckets of `(exact key, probability)`.
-type Shard = HashMap<u64, Vec<(Vec<i32>, f64)>>;
-
-impl ShardedCache {
-    fn new(shards: usize) -> ShardedCache {
-        ShardedCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard_of(&self, h: u64) -> usize {
-        // The prefilter hash is already well mixed; fold the high bits in
-        // so shard choice is not just the low bits of the clause hashes.
-        ((h ^ (h >> 32)) % self.shards.len() as u64) as usize
-    }
-
-    /// Probes under the shard lock. On a prefilter miss (no bucket for
-    /// `h`) the canonical key is **never materialized** — the fast path
-    /// the sharded cache exists for; on a candidate bucket the key is
-    /// serialized into the caller's reusable scratch and compared exactly.
-    fn get(
-        &self,
-        h: u64,
-        clauses: &[Arc<Clause>],
-        sort_scratch: &mut Vec<u32>,
-        key_scratch: &mut Vec<i32>,
-    ) -> Option<f64> {
-        let map = self.shards[self.shard_of(h)].lock().unwrap();
-        let bucket = map.get(&h)?;
-        serialize_into(clauses, sort_scratch, key_scratch);
-        bucket
-            .iter()
-            .find(|(k, _)| k == key_scratch)
-            .map(|&(_, p)| p)
-    }
-
-    fn insert(
-        &self,
-        h: u64,
-        clauses: &[Arc<Clause>],
-        sort_scratch: &mut Vec<u32>,
-        key_scratch: &mut Vec<i32>,
-        p: f64,
-    ) {
-        serialize_into(clauses, sort_scratch, key_scratch);
-        let mut map = self.shards[self.shard_of(h)].lock().unwrap();
-        let bucket = map.entry(h).or_default();
-        // Two branches may race to solve the same component; the values
-        // are deterministic, so keep the first entry and drop the echo.
-        if !bucket.iter().any(|(k, _)| k == key_scratch) {
-            bucket.push((key_scratch.clone(), p));
-        }
-    }
-}
-
-/// Shared state of one [`run_parallel`] invocation.
-struct ParCtx<'a> {
-    probs: &'a [f64],
-    options: &'a DpllOptions,
-    order_rank: &'a [u32],
-    pool: &'a pdb_par::Pool,
-    cache: ShardedCache,
-    decisions: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    component_splits: AtomicU64,
-    max_depth: AtomicU64,
-    /// Set by whichever branch trips a budget; every branch polls it.
-    aborted: AtomicBool,
-}
-
-/// Per-task scratch space for [`par_solve`]: forks get a fresh one, the
-/// sequential tail under a fork reuses its task's buffers.
-struct Scratch {
-    counts: Vec<u32>,
-    sort: Vec<u32>,
-    key: Vec<i32>,
-    tally: CloneTally,
-}
-
-impl Scratch {
-    fn new(num_vars: usize) -> Scratch {
-        Scratch {
-            counts: vec![0; num_vars],
-            sort: Vec::new(),
-            key: Vec::new(),
-            tally: CloneTally::default(),
-        }
-    }
-}
-
-/// Fork parallel work only this close to the root: deeper subproblems are
-/// small and task overhead would dominate.
-const PAR_DEPTH: u64 = 4;
-
-/// Counts `cnf` on `pool`, running independent components (and the two
-/// Shannon branches) in parallel at shallow depths over a lock-striped
-/// component cache. The clause set is interned **once** and shared into
-/// every fork through `Arc`s — no per-branch clause cloning.
-///
-/// The returned probability is bit-identical to [`Dpll::run`]: subproblem
-/// values do not depend on execution order (cache entries equal what
-/// recomputation would produce), and every floating-point combination —
-/// the left-to-right component product and `p·hi + (1−p)·lo` — is evaluated
-/// in the same order as the sequential code. With a pool of size 1, or when
-/// a trace is requested, this *is* the sequential counter, trace and stats
-/// included. On larger pools `stats.decisions` and the cache counters can
-/// differ from the sequential run (concurrent branches race to the cache),
-/// so `max_decisions` budgets are only approximate there — abort detection
-/// itself remains reliable. A branch that trips either budget raises one
-/// shared flag, which every other branch polls on entry.
+/// Counts `cnf` on `pool`: the search of [`Dpll::run`], forking components
+/// and the two Shannon branches at shallow depths when the pool has more
+/// than one thread and no trace is requested. The probability is
+/// bit-identical to [`Dpll::run`]: subproblem values do not depend on
+/// execution order, and the component product and `p·hi + (1−p)·lo` are
+/// evaluated in the serial order. Without forks the run *is* [`Dpll::run`],
+/// trace and stats included; with them, `stats.decisions` and the cache
+/// counters can differ (concurrent branches race to the cache), so
+/// `max_decisions` budgets are only approximate — abort detection itself
+/// stays reliable, through one flag every task polls on entry.
 pub fn run_parallel(
     cnf: &Cnf,
     probs: &[f64],
     options: DpllOptions,
     pool: &pdb_par::Pool,
 ) -> DpllResult {
-    if pool.threads() == 1 || options.record_trace {
-        return Dpll::new(cnf, probs.to_vec(), options).run();
-    }
-    assert_eq!(probs.len() as u32, cnf.num_vars, "one probability per var");
-    let order_rank = order_rank(&options, cnf.num_vars);
-    let ctx = ParCtx {
-        probs,
-        options: &options,
-        order_rank: &order_rank,
-        pool,
-        cache: ShardedCache::new(16),
-        decisions: AtomicU64::new(0),
-        cache_hits: AtomicU64::new(0),
-        cache_misses: AtomicU64::new(0),
-        component_splits: AtomicU64::new(0),
-        max_depth: AtomicU64::new(0),
-        aborted: AtomicBool::new(false),
-    };
-    let mut scratch = Scratch::new(probs.len());
-    let p = par_solve(&ctx, intern(cnf), 0, &mut scratch);
-    flush_tally(&scratch.tally);
-    let aborted = ctx.aborted.load(Ordering::Acquire);
-    DpllResult {
-        probability: if aborted { f64::NAN } else { p },
-        stats: DpllStats {
-            decisions: ctx.decisions.load(Ordering::Relaxed),
-            cache_hits: ctx.cache_hits.load(Ordering::Relaxed),
-            cache_misses: ctx.cache_misses.load(Ordering::Relaxed),
-            component_splits: ctx.component_splits.load(Ordering::Relaxed),
-            max_depth: ctx.max_depth.load(Ordering::Relaxed),
-        },
-        trace: None,
-        aborted,
-    }
-}
-
-/// Runs `f` in a forked task with its own scratch, flushing the fork's
-/// clause tally before the task ends.
-fn forked<R>(num_vars: usize, f: impl FnOnce(&mut Scratch) -> R) -> R {
-    let mut scratch = Scratch::new(num_vars);
-    let r = f(&mut scratch);
-    flush_tally(&scratch.tally);
-    r
-}
-
-fn par_solve(ctx: &ParCtx<'_>, clauses: Vec<Arc<Clause>>, depth: u64, s: &mut Scratch) -> f64 {
-    ctx.max_depth.fetch_max(depth, Ordering::Relaxed);
-    if ctx.aborted.load(Ordering::Relaxed) {
-        return f64::NAN;
-    }
-    if clauses.is_empty() {
-        return 1.0;
-    }
-    if clauses.iter().any(|c| c.is_empty()) {
-        return 0.0;
-    }
-    let hash = ctx.options.caching.then(|| prefilter_hash(&clauses));
-    if let Some(h) = hash {
-        if let Some(p) = ctx.cache.get(h, &clauses, &mut s.sort, &mut s.key) {
-            ctx.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return p;
-        }
-    }
-    let fork = depth < PAR_DEPTH;
-    if ctx.options.components {
-        let comps = split_components(&clauses, &mut s.tally);
-        if comps.len() > 1 {
-            ctx.component_splits.fetch_add(1, Ordering::Relaxed);
-            // Multiply in component order (it is deterministic — components
-            // are sorted by serialization) to match the sequential fold.
-            let p = if fork {
-                ctx.pool
-                    .parallel_map(comps, |comp| {
-                        forked(ctx.probs.len(), |local| {
-                            par_solve(ctx, comp, depth + 1, local)
-                        })
-                    })
-                    .into_iter()
-                    .product()
-            } else {
-                let mut p = 1.0;
-                for comp in comps {
-                    p *= par_solve(ctx, comp, depth + 1, s);
-                }
-                p
-            };
-            if let Some(h) = hash {
-                ctx.cache.insert(h, &clauses, &mut s.sort, &mut s.key, p);
-                ctx.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            return p;
-        }
-    }
-    let var = match clauses.iter().find(|c| c.lits().len() == 1) {
-        Some(unit) => unit.lits()[0].var(),
-        None if ctx.options.var_order.is_some() => lowest_rank_var(&clauses, ctx.order_rank),
-        None => most_frequent_var(&clauses, &mut s.counts),
-    };
-    let decisions = ctx.decisions.fetch_add(1, Ordering::Relaxed) + 1;
-    if ctx.options.exhausted(decisions) {
-        ctx.aborted.store(true, Ordering::Release);
-        return f64::NAN;
-    }
-    let p = ctx.probs[var as usize];
-    let (hi, lo) = if fork {
-        let (hi_set, lo_set) = {
-            let hi_set = condition(&clauses, var, true, &mut s.tally);
-            let lo_set = condition(&clauses, var, false, &mut s.tally);
-            (hi_set, lo_set)
-        };
-        ctx.pool.join(
-            || {
-                forked(ctx.probs.len(), |local| {
-                    par_solve(ctx, hi_set, depth + 1, local)
-                })
-            },
-            || {
-                forked(ctx.probs.len(), |local| {
-                    par_solve(ctx, lo_set, depth + 1, local)
-                })
-            },
-        )
-    } else {
-        let hi_set = condition(&clauses, var, true, &mut s.tally);
-        let hi = par_solve(ctx, hi_set, depth + 1, s);
-        let lo_set = condition(&clauses, var, false, &mut s.tally);
-        let lo = par_solve(ctx, lo_set, depth + 1, s);
-        (hi, lo)
-    };
-    let total = p * hi + (1.0 - p) * lo;
-    if let Some(h) = hash {
-        ctx.cache
-            .insert(h, &clauses, &mut s.sort, &mut s.key, total);
-        ctx.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-    total
+    Dpll::new(cnf, probs.to_vec(), options).run_on(pool)
 }
 
 /// Conditions the clause set on `var = value`: satisfied clauses vanish,
 /// falsified literals are removed. Untouched clauses are **shared** into
 /// the branch by `Arc` clone (a reference-count bump, not a copy); only
 /// clauses that actually lose a literal allocate.
-fn condition(
-    clauses: &[Arc<Clause>],
-    var: u32,
-    value: bool,
-    tally: &mut CloneTally,
-) -> Vec<Arc<Clause>> {
+fn condition(clauses: &[Arc<Clause>], var: u32, value: bool) -> Vec<Arc<Clause>> {
     let mut out = Vec::with_capacity(clauses.len());
     for c in clauses {
         let mut touched = false;
@@ -833,7 +600,6 @@ fn condition(
             continue;
         }
         if touched {
-            tally.reduced += 1;
             out.push(Arc::new(Clause::new(
                 c.lits()
                     .iter()
@@ -842,7 +608,6 @@ fn condition(
                     .collect(),
             )));
         } else {
-            tally.shared += 1;
             out.push(Arc::clone(c));
         }
     }
@@ -854,7 +619,7 @@ fn condition(
 /// sorted by their canonical serialization — the order the sequential
 /// fold multiplies them in — with each key computed **once** (the former
 /// `sort_by_key` re-serialized per comparison).
-fn split_components(clauses: &[Arc<Clause>], tally: &mut CloneTally) -> Vec<Vec<Arc<Clause>>> {
+fn split_components(clauses: &[Arc<Clause>]) -> Vec<Vec<Arc<Clause>>> {
     // Union-find over clause indices, keyed by shared variables.
     let n = clauses.len();
     let mut parent: Vec<usize> = (0..n).collect();
@@ -883,7 +648,6 @@ fn split_components(clauses: &[Arc<Clause>], tally: &mut CloneTally) -> Vec<Vec<
     }
     let mut groups: HashMap<usize, Vec<Arc<Clause>>> = HashMap::new();
     for (i, c) in clauses.iter().enumerate() {
-        tally.shared += 1;
         groups
             .entry(find(&mut parent, i))
             .or_default()
@@ -1227,26 +991,84 @@ mod tests {
         }
     }
 
+    /// FNV-1a over a trace's node list, in push order.
+    fn trace_fingerprint(nodes: &[TraceNode]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        for node in nodes {
+            match node {
+                TraceNode::True => mix(1),
+                TraceNode::False => mix(2),
+                TraceNode::Decision { var, hi, lo } => {
+                    mix(3);
+                    mix(*var as u64);
+                    mix(hi.0 as u64);
+                    mix(lo.0 as u64);
+                }
+                TraceNode::And { children } => {
+                    mix(4);
+                    mix(children.len() as u64);
+                    children.iter().for_each(|c| mix(c.0 as u64));
+                }
+            }
+        }
+        h
+    }
+
     #[test]
     fn run_parallel_serial_pool_preserves_stats_and_trace() {
-        let f = BoolExpr::or_all([
-            BoolExpr::and_all([v(0), v(1)]),
-            BoolExpr::and_all([v(2), v(3)]),
-        ]);
-        let cnf = Cnf::from_negated_dnf(&f, 4);
-        let opts = DpllOptions {
-            record_trace: true,
-            ..Default::default()
+        let (cnf, probs) = mixed_fixture();
+        // What the sequential counter recorded on this fixture before the
+        // serial and forking searches were one recursion: trace length, node
+        // fingerprint and stats, per (components, caching).
+        let pinned = |components: bool, caching: bool| match (components, caching) {
+            (false, false) => (3223, 0x055c_3512_ac0e_058f_u64, [3221, 0, 0, 0, 24]),
+            (false, true) => (137, 0xc2e6_5f31_f092_3903, [135, 36, 135, 0, 24]),
+            (true, false) => (79, 0x006f_9f18_b10f_73e0, [68, 0, 0, 9, 9]),
+            (true, true) => (63, 0x5a56_ae24_482c_678d, [53, 6, 61, 8, 9]),
         };
-        let pool = pdb_par::Pool::new(1);
-        let seq = Dpll::new(&cnf, vec![0.5; 4], opts.clone()).run();
-        let par = run_parallel(&cnf, &[0.5; 4], opts, &pool);
-        assert_eq!(par.stats, seq.stats);
-        assert_eq!(
-            par.trace.as_ref().map(Trace::reachable_size),
-            seq.trace.as_ref().map(Trace::reachable_size)
-        );
-        assert_eq!(par.probability.to_bits(), seq.probability.to_bits());
+        for components in [false, true] {
+            for caching in [false, true] {
+                let (len, fingerprint, [decisions, hits, misses, splits, depth]) =
+                    pinned(components, caching);
+                let stats = DpllStats {
+                    decisions,
+                    cache_hits: hits,
+                    cache_misses: misses,
+                    component_splits: splits,
+                    max_depth: depth,
+                };
+                let opts = DpllOptions {
+                    components,
+                    caching,
+                    ..Default::default()
+                };
+                let at = format!("components={components} caching={caching}");
+                let count = run_parallel(&cnf, &probs, opts.clone(), &pdb_par::Pool::new(1));
+                assert_eq!(count.stats, stats, "count-only, {at}");
+                let traced = DpllOptions {
+                    record_trace: true,
+                    ..opts
+                };
+                for threads in [1, 2, 4, 8] {
+                    let pool = pdb_par::Pool::new(threads);
+                    let run = run_parallel(&cnf, &probs, traced.clone(), &pool);
+                    let trace = run.trace.expect("traced run keeps its trace");
+                    assert_eq!(trace.nodes().len(), len, "threads={threads} {at}");
+                    assert_eq!(
+                        trace_fingerprint(trace.nodes()),
+                        fingerprint,
+                        "threads={threads} {at}"
+                    );
+                    assert_eq!(run.stats, stats, "threads={threads} {at}");
+                    assert_eq!(
+                        run.probability.to_bits(),
+                        count.probability.to_bits(),
+                        "threads={threads} {at}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod monte_carlo;
 pub mod prob;
 
 pub use dpll::{
-    clone_stats, run_parallel, CloneStats, Dpll, DpllOptions, DpllResult, DpllStats, Trace,
-    TraceNode, TraceNodeId,
+    run_parallel, Dpll, DpllOptions, DpllResult, DpllStats, Trace, TraceNode, TraceNodeId,
 };
 pub use prob::{count_expr, probability_of_expr, probability_of_query, ExprCount, ExprTrace};
