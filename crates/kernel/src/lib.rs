@@ -23,8 +23,8 @@
 //! * [`FlatBool`] — an arbitrary boolean expression as a flat program over
 //!   `bool` (the Monte-Carlo inner loop),
 //! * [`stats`] — process-global counters (programs flattened, evaluations,
-//!   batched evaluations, bytes touched per evaluation) surfaced by the
-//!   server's `stats` command.
+//!   batched evaluations, bytes touched per evaluation, flat program sizes)
+//!   surfaced by the server's `stats` and `metrics` commands.
 //!
 //! ## The floating-point order guarantee
 //!
@@ -54,4 +54,4 @@ pub mod stats;
 pub use boolean::{BoolBuilder, FlatBool};
 pub use dnf::FlatDnf;
 pub use program::{FlatBuilder, FlatError, FlatNode, FlatProgram, OpTag};
-pub use stats::{metrics, stats, KernelStats};
+pub use stats::{program_bytes, stats, KernelStats};

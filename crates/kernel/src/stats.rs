@@ -1,15 +1,14 @@
-//! Process-global kernel counters, re-implemented on the pdb-obs primitives.
+//! Process-global kernel counters, on the pdb-obs primitives.
 //!
 //! The flattening pass and both evaluators tick lock-free atomics so the
-//! server's `stats` command can report how much work runs on the flat
-//! kernels and how well batching amortizes program decode. Counting is
-//! per *evaluation* (one atomic add per program pass), never per node, so
+//! server's `stats` and `metrics` commands can report how much work runs on
+//! the flat kernels and how well batching amortizes program decode. Counting
+//! is per *evaluation* (one atomic add per program pass), never per node, so
 //! the hot loops stay free of shared-cache-line traffic. The counters are
 //! `const`-constructed [`pdb_obs`] statics — recording never locks or
-//! allocates — and [`metrics::register`] files them with the global metric
-//! registry for the server's Prometheus `metrics` command.
+//! allocates — read through [`stats`] and [`program_bytes`].
 
-use pdb_obs::{AtomicHistogram, Counter};
+use pdb_obs::{AtomicHistogram, Counter, HistogramSnapshot};
 
 static FLATTENED: Counter = Counter::new();
 static EVALS: Counter = Counter::new();
@@ -55,6 +54,11 @@ pub fn stats() -> KernelStats {
     }
 }
 
+/// The distribution of flat program sizes, in bytes, at flatten time.
+pub fn program_bytes() -> HistogramSnapshot {
+    PROGRAM_BYTES.snapshot()
+}
+
 pub(crate) fn record_flatten(bytes: usize) {
     FLATTENED.inc();
     PROGRAM_BYTES.record(bytes as u64);
@@ -71,55 +75,6 @@ pub(crate) fn record_batched(bytes: usize, lanes: usize) {
     EVAL_BYTES.add(bytes as u64);
 }
 
-/// Prometheus registration and scrape-time publication.
-pub mod metrics {
-    use super::{BATCHED_EVALS, EVALS, EVAL_BYTES, FLATTENED, PROGRAM_BYTES};
-    use pdb_obs::Gauge;
-
-    static BYTES_PER_EVAL: Gauge = Gauge::new();
-
-    /// File the kernel's metrics with the global registry. Idempotent; the
-    /// server calls this (plus [`publish`]) on every `metrics` scrape so the
-    /// families exist even before any kernel work has run.
-    pub fn register() {
-        pdb_obs::register_counter(
-            "pdb_kernel_flattened_total",
-            "circuits lowered to flat programs",
-            &FLATTENED,
-        );
-        pdb_obs::register_counter(
-            "pdb_kernel_evals_total",
-            "flat-program evaluations (each batch lane counts once)",
-            &EVALS,
-        );
-        pdb_obs::register_counter(
-            "pdb_kernel_batched_evals_total",
-            "batched evaluation calls",
-            &BATCHED_EVALS,
-        );
-        pdb_obs::register_counter(
-            "pdb_kernel_eval_bytes_total",
-            "program bytes streamed by all evaluations",
-            &EVAL_BYTES,
-        );
-        pdb_obs::register_histogram(
-            "pdb_kernel_program_bytes",
-            "flat program size at flatten time, bytes",
-            &PROGRAM_BYTES,
-        );
-        pdb_obs::register_gauge(
-            "pdb_kernel_bytes_per_eval",
-            "average program bytes per evaluation (decode amortization)",
-            &BYTES_PER_EVAL,
-        );
-    }
-
-    /// Refresh derived gauges from the raw counters (scrape-time only).
-    pub fn publish() {
-        BYTES_PER_EVAL.set_u64(super::stats().bytes_per_eval());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +82,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let before = stats();
+        let sizes_before = program_bytes().count;
         record_flatten(64);
         record_eval(100);
         record_batched(100, 64);
@@ -135,6 +91,7 @@ mod tests {
         assert_eq!(after.evals - before.evals, 65);
         assert_eq!(after.batched_evals - before.batched_evals, 1);
         assert_eq!(after.eval_bytes - before.eval_bytes, 200);
+        assert!(program_bytes().count > sizes_before);
     }
 
     #[test]
@@ -147,17 +104,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.bytes_per_eval(), 25);
-    }
-
-    #[test]
-    fn metrics_register_and_render() {
-        metrics::register();
-        record_flatten(1000);
-        metrics::publish();
-        let text = pdb_obs::render();
-        assert!(text.contains("# TYPE pdb_kernel_flattened_total counter"));
-        assert!(text.contains("# TYPE pdb_kernel_program_bytes histogram"));
-        assert!(text.contains("# TYPE pdb_kernel_bytes_per_eval gauge"));
-        pdb_obs::expo::validate(&text).expect("kernel metrics must validate");
     }
 }

@@ -11,7 +11,7 @@
 //! Quantiles interpolate linearly *within* the containing bucket instead of
 //! returning the bucket's upper bound. The old behaviour overstated p50/p99 by
 //! up to 2× (a bucket spans a full power of two); the interpolated estimate is
-//! pinned by unit tests below and in `crates/server/src/stats.rs`.
+//! pinned by the unit tests below.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -22,6 +22,7 @@ pub const BUCKETS: usize = 64;
 /// A lock-free histogram with log₂ buckets, total count, running sum, and an
 /// exact observed maximum. All methods take `&self`; `new` is `const` so
 /// instances can live in `static`s with zero registration cost on hot paths.
+#[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,

@@ -1,23 +1,15 @@
-//! Metric primitives, the process-global registry, and Prometheus text
-//! exposition.
+//! The counter primitive and Prometheus text exposition.
 //!
-//! The design keeps the hot path completely free of locks and allocation:
-//! [`Counter`], [`Gauge`], and [`AtomicHistogram`](crate::AtomicHistogram)
-//! all have `const fn new`, so instrumented crates declare them as plain
-//! `static`s and tick them with single relaxed atomic ops. The registry is a
-//! separate, cold concern — each crate exposes an idempotent `register()` that
-//! files its statics under stable `pdb_<crate>_*` names, and the server's
-//! `metrics` command calls every crate's `register()` before rendering, so
-//! metrics are present (zero-valued) even on an idle server.
-//!
-//! Rendering iterates a `BTreeMap`, so exposition output is deterministic
-//! (lint D1: no hash-order-dependent formatting).
+//! The hot path stays free of locks and allocation: [`Counter`] and
+//! [`AtomicHistogram`](crate::AtomicHistogram) have `const fn new`, so
+//! instrumented crates declare them as plain `static`s (or struct fields) and
+//! tick them with relaxed atomic ops where the work happens. There is no
+//! registry: the server reads those counters directly and renders them
+//! through [`ExpositionBuilder`], in the order it writes the families.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::hist::{bucket_upper_bound, AtomicHistogram, HistogramSnapshot};
+use crate::hist::{bucket_upper_bound, HistogramSnapshot};
 
 /// A monotonically non-decreasing counter.
 pub struct Counter(AtomicU64);
@@ -35,14 +27,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Mirror an externally tracked monotone total into this counter (used by
-    /// scrape-time publication from crates that already keep their own
-    /// counters, e.g. the pool's job/steal totals). `fetch_max` keeps the
-    /// counter monotone even with concurrent scrapes.
-    pub fn record_total(&self, total: u64) {
-        self.0.fetch_max(total, Ordering::Relaxed);
-    }
-
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -52,92 +36,6 @@ impl Default for Counter {
     fn default() -> Self {
         Counter::new()
     }
-}
-
-/// A gauge holding an `f64` (stored as bits in an `AtomicU64`).
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    pub const fn new() -> Gauge {
-        Gauge(AtomicU64::new(0))
-    }
-
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn set_u64(&self, v: u64) {
-        self.set(v as f64);
-    }
-
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge::new()
-    }
-}
-
-enum MetricRef {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Histogram(&'static AtomicHistogram),
-}
-
-struct Entry {
-    help: &'static str,
-    metric: MetricRef,
-}
-
-fn registry() -> MutexGuard<'static, BTreeMap<&'static str, Entry>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, Entry>>> = OnceLock::new();
-    REGISTRY
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// File a counter under `name`. Idempotent: re-registering an existing name
-/// is a no-op (first registration wins), so crates can call their `register()`
-/// from every scrape.
-pub fn register_counter(name: &'static str, help: &'static str, c: &'static Counter) {
-    registry().entry(name).or_insert(Entry {
-        help,
-        metric: MetricRef::Counter(c),
-    });
-}
-
-/// File a gauge under `name`. Idempotent like [`register_counter`].
-pub fn register_gauge(name: &'static str, help: &'static str, g: &'static Gauge) {
-    registry().entry(name).or_insert(Entry {
-        help,
-        metric: MetricRef::Gauge(g),
-    });
-}
-
-/// File a histogram under `name`. Idempotent like [`register_counter`].
-pub fn register_histogram(name: &'static str, help: &'static str, h: &'static AtomicHistogram) {
-    registry().entry(name).or_insert(Entry {
-        help,
-        metric: MetricRef::Histogram(h),
-    });
-}
-
-/// Render every registered metric in Prometheus text exposition format 0.0.4.
-/// Output order is the registry's `BTreeMap` order: deterministic.
-pub fn render() -> String {
-    let mut b = ExpositionBuilder::new();
-    for (name, entry) in registry().iter() {
-        match entry.metric {
-            MetricRef::Counter(c) => b.counter(name, entry.help, c.get()),
-            MetricRef::Gauge(g) => b.gauge(name, entry.help, g.get()),
-            MetricRef::Histogram(h) => b.histogram(name, entry.help, &h.snapshot()),
-        }
-    }
-    b.finish()
 }
 
 /// Format an `f64` for exposition: integral values print without a trailing
@@ -155,10 +53,8 @@ fn format_value(v: f64) -> String {
     }
 }
 
-/// Incrementally builds Prometheus text exposition. Used both by the global
-/// [`render`] and by the server's per-instance `Stats`, which owns its own
-/// counters (tests depend on fresh instances starting at zero) but renders
-/// them in the same format.
+/// Incrementally builds Prometheus text exposition, one family per call, in
+/// call order.
 pub struct ExpositionBuilder {
     out: String,
 }
@@ -248,21 +144,18 @@ impl Default for ExpositionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    static TEST_COUNTER: Counter = Counter::new();
-    static TEST_GAUGE: Gauge = Gauge::new();
-    static TEST_HIST: AtomicHistogram = AtomicHistogram::new();
+    use crate::hist::AtomicHistogram;
 
     #[test]
-    fn registry_round_trips_through_render() {
-        register_counter("pdb_test_ops_total", "ops", &TEST_COUNTER);
-        register_gauge("pdb_test_depth", "depth", &TEST_GAUGE);
-        register_histogram("pdb_test_latency_us", "latency", &TEST_HIST);
-        TEST_COUNTER.add(3);
-        TEST_GAUGE.set(2.5);
-        TEST_HIST.record(100);
+    fn each_kind_renders_as_valid_exposition() {
+        let hist = AtomicHistogram::new();
+        hist.record(100);
+        let mut b = ExpositionBuilder::new();
+        b.counter("pdb_test_ops_total", "ops", 3);
+        b.gauge("pdb_test_depth", "depth", 2.5);
+        b.histogram("pdb_test_latency_us", "latency", &hist.snapshot());
 
-        let text = render();
+        let text = b.finish();
         assert!(text.contains("# TYPE pdb_test_ops_total counter"));
         assert!(text.contains("pdb_test_ops_total 3"));
         assert!(text.contains("pdb_test_depth 2.5"));
@@ -271,42 +164,8 @@ mod tests {
         assert!(text.contains("pdb_test_latency_us_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("pdb_test_latency_us_sum 100"));
         assert!(text.contains("pdb_test_latency_us_count 1"));
-        // The rendered text must itself validate.
-        let summary = crate::expo::validate(&text).expect("render() must emit valid exposition");
-        assert!(summary.families.len() >= 3);
-    }
-
-    #[test]
-    fn registration_is_idempotent_first_wins() {
-        static A: Counter = Counter::new();
-        static B: Counter = Counter::new();
-        register_counter("pdb_test_idempotent_total", "first", &A);
-        register_counter("pdb_test_idempotent_total", "second", &B);
-        A.add(7);
-        B.add(99);
-        let text = render();
-        assert!(text.contains("# HELP pdb_test_idempotent_total first"));
-        assert!(text.contains("pdb_test_idempotent_total 7"));
-    }
-
-    #[test]
-    fn counter_record_total_is_monotone() {
-        let c = Counter::new();
-        c.record_total(10);
-        c.record_total(5); // stale snapshot must not move the counter back
-        assert_eq!(c.get(), 10);
-        c.record_total(12);
-        assert_eq!(c.get(), 12);
-    }
-
-    #[test]
-    fn gauge_stores_f64_bits() {
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(0.25);
-        assert_eq!(g.get(), 0.25);
-        g.set_u64(1_000_000);
-        assert_eq!(g.get(), 1_000_000.0);
+        let summary = crate::expo::validate(&text).expect("builder must emit valid exposition");
+        assert_eq!(summary.families.len(), 3);
     }
 
     #[test]

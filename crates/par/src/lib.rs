@@ -619,54 +619,6 @@ fn worker_loop(shared: &Arc<Shared>, pool_id: usize, queue: usize) {
     }
 }
 
-/// Prometheus metrics for the pool, published at scrape time.
-///
-/// The pool's own hot-path counters (`jobs`, `steals`, `busy_ns`) stay
-/// untouched; [`publish`] mirrors a [`PoolStats`] snapshot into registry
-/// metrics whenever the server renders `metrics`. `Counter::record_total`
-/// keeps the mirrored counters monotone under concurrent scrapes.
-pub mod metrics {
-    use crate::PoolStats;
-    use pdb_obs::{Counter, Gauge};
-
-    static JOBS: Counter = Counter::new();
-    static STEALS: Counter = Counter::new();
-    static THREADS: Gauge = Gauge::new();
-    static UTILIZATION: Gauge = Gauge::new();
-
-    /// File the pool metrics with the global registry. Idempotent.
-    pub fn register() {
-        pdb_obs::register_counter(
-            "pdb_par_jobs_total",
-            "tasks executed by the work-stealing pool",
-            &JOBS,
-        );
-        pdb_obs::register_counter(
-            "pdb_par_steals_total",
-            "tasks that ran on a thread other than the one that queued them",
-            &STEALS,
-        );
-        pdb_obs::register_gauge(
-            "pdb_par_threads",
-            "configured pool parallelism (including the submitting thread)",
-            &THREADS,
-        );
-        pdb_obs::register_gauge(
-            "pdb_par_utilization",
-            "fraction of available thread-time spent executing tasks",
-            &UTILIZATION,
-        );
-    }
-
-    /// Mirror a pool snapshot into the registry (scrape-time only).
-    pub fn publish(stats: &PoolStats) {
-        JOBS.record_total(stats.jobs);
-        STEALS.record_total(stats.steals);
-        THREADS.set_u64(stats.threads as u64);
-        UTILIZATION.set(stats.utilization());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

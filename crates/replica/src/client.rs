@@ -21,6 +21,7 @@
 //! tests can interpose the fault harness in [`crate::fault`].
 
 use crate::wire::{read_frame, Frame, FrameError};
+use pdb_obs::{AtomicHistogram, HistogramSnapshot};
 use pdb_store::WalOp;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -70,6 +71,7 @@ pub struct ReplicaStatus {
     next_lsn: AtomicU64,
     primary_lsn: AtomicU64,
     records_applied: AtomicU64,
+    apply_us: AtomicHistogram,
     bootstraps: AtomicU64,
     reconnects: AtomicU64,
 }
@@ -109,6 +111,11 @@ impl ReplicaStatus {
     /// Records applied from the stream since the client started.
     pub fn records_applied(&self) -> u64 {
         self.records_applied.load(Ordering::Relaxed)
+    }
+
+    /// Wall time to apply one streamed record, microseconds.
+    pub fn apply_latency(&self) -> HistogramSnapshot {
+        self.apply_us.snapshot()
     }
 
     /// Snapshot installs (initial bootstrap + re-bootstraps).
@@ -322,8 +329,7 @@ fn session(
                             status.next_lsn.store(0, Ordering::SeqCst);
                             return SessionEnd::Failed;
                         }
-                        crate::metrics::APPLY_US.record_duration(apply_started.elapsed());
-                        crate::metrics::RECORDS_APPLIED.inc();
+                        status.apply_us.record_duration(apply_started.elapsed());
                         status.next_lsn.store(lsn + 1, Ordering::SeqCst);
                         if lsn + 1 > status.primary_lsn() {
                             status.primary_lsn.store(lsn + 1, Ordering::SeqCst);

@@ -34,7 +34,6 @@
 pub mod client;
 pub mod fault;
 pub mod hub;
-pub mod metrics;
 pub mod wire;
 
 pub use client::{

@@ -63,7 +63,7 @@ use crate::protocol::{
     format_view_created, format_view_list, format_view_refreshed, format_view_show,
     normalize_query, parse_command, Command, ViewCommand, HELP,
 };
-use crate::stats::{KernelSnapshot, PoolSnapshot, Stats, ViewsSnapshot};
+use crate::stats::{Sources, Stats};
 use pdb_core::{Answer, Complexity, EngineError, ProbDb, QueryOptions};
 use pdb_obs::{span, with_tracer, Stage, Tracer};
 use pdb_replica::{Frame, ReadOnlyReplica, ReplicaFeed, ReplicaHub, ReplicaStatus};
@@ -443,51 +443,36 @@ impl Service {
 
     /// The `stats` command payload.
     pub fn stats_text(&self) -> String {
-        let views = {
-            let views = lock(&self.inner.views);
-            ViewsSnapshot {
-                views: views.len(),
-                rows: views.row_count(),
-                incremental: views.incremental_applied(),
-                recompiles: views.recompiles(),
-            }
-        };
-        // The pool every engine call in this process runs on: queries,
-        // answer rows, sampling chunks, and view builds all share it.
-        let pool = PoolSnapshot::from(pdb_par::current().stats());
-        // Process-global flat-kernel counters (circuit flattening, scalar
-        // and batched evaluations).
-        let kernel = KernelSnapshot::from(pdb_kernel::stats());
-        let mut text = {
+        self.render(|s| s.stats_text())
+    }
+
+    /// The `metrics` command payload: Prometheus text exposition of every
+    /// family, zero-valued where this server has no source for it.
+    pub fn metrics_text(&self) -> String {
+        self.render(|s| s.metrics_text())
+    }
+
+    /// Runs a payload renderer over this instance's counters. The cache
+    /// lock is released before the view manager is taken; the store mutex
+    /// is never taken.
+    fn render(&self, payload: impl FnOnce(&Sources<'_>) -> String) -> String {
+        let (cache_len, cache_capacity) = {
             let cache = lock(&self.inner.cache);
-            self.inner
-                .stats
-                .render(cache.len(), cache.capacity(), views, pool, kernel)
+            (cache.len(), cache.capacity())
         };
-        if let Some(role) = self.inner.replica.as_ref() {
-            let s = &role.status;
-            text.push_str(&format!(
-                "replication: role=replica primary={} connected={} \
-                 primary_down={} applied_lsn={} primary_lsn={} lag={} \
-                 bootstraps={} reconnects={}\n",
-                role.primary,
-                s.connected(),
-                s.primary_down(),
-                s.next_lsn(),
-                s.primary_lsn(),
-                s.lag(),
-                s.bootstraps(),
-                s.reconnects(),
-            ));
-        } else if let Some(hub) = self.inner.replication.as_ref() {
-            text.push_str(&format!(
-                "replication: role=primary replicas={} streamed={} next_lsn={}\n",
-                hub.replica_count(),
-                hub.streamed(),
-                hub.next_lsn(),
-            ));
-        }
-        text
+        let views = lock(&self.inner.views);
+        payload(&Sources {
+            stats: &self.inner.stats,
+            cache_len,
+            cache_capacity,
+            views: &views,
+            replica: self
+                .inner
+                .replica
+                .as_ref()
+                .map(|r| (r.primary.as_str(), &*r.status)),
+            hub: self.inner.replication.as_deref(),
+        })
     }
 
     /// Number of registered materialized views (diagnostics).
@@ -1041,39 +1026,6 @@ impl Service {
         }
         out
     }
-
-    /// The `metrics` command payload: Prometheus text exposition combining
-    /// this instance's `pdb_server_*` families with the process-global
-    /// registry (store, replica, kernel, views, pool). Registration is
-    /// idempotent and done here so every family exists — zero-valued — even
-    /// on an idle server; externally-tracked stats are mirrored into their
-    /// gauges at scrape time.
-    pub fn metrics_text(&self) -> String {
-        pdb_store::metrics::register();
-        pdb_replica::metrics::register();
-        pdb_kernel::metrics::register();
-        pdb_views::metrics::register();
-        pdb_par::metrics::register();
-        pdb_kernel::metrics::publish();
-        pdb_par::metrics::publish(&pdb_par::current().stats());
-        pdb_views::metrics::publish(lock(&self.inner.views).len());
-        if let Some(role) = self.inner.replica.as_ref() {
-            pdb_replica::metrics::publish_replica(&role.status);
-        }
-        if let Some(hub) = self.inner.replication.as_ref() {
-            pdb_replica::metrics::publish_primary(hub);
-        }
-        let (cache_len, cache_capacity) = {
-            let cache = lock(&self.inner.cache);
-            (cache.len(), cache.capacity())
-        };
-        let mut text = self
-            .inner
-            .stats
-            .render_prometheus(cache_len, cache_capacity);
-        text.push_str(&pdb_obs::render());
-        text
-    }
 }
 
 /// The replication client applies its stream straight into the service:
@@ -1179,30 +1131,6 @@ mod tests {
         assert!(resp.starts_with("error: unknown command"), "{resp}");
         let stats = svc.stats_text();
         assert!(stats.contains("errors=1"), "{stats}");
-    }
-
-    #[test]
-    fn stats_payload_has_every_section() {
-        let svc = seeded_service(no_deadline_opts());
-        svc.handle_line(Q);
-        svc.handle_line(Q);
-        let (text, _) = svc.handle_line("stats");
-        for needle in [
-            "queries:",
-            "lifted=",
-            "cache:",
-            "hit_rate=",
-            "latency_us:",
-            "views:",
-            "incremental_ratio=",
-            "view_refresh_us:",
-            "pool: threads=",
-            "utilization=",
-            "timeouts:",
-            "connections:",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
     }
 
     #[test]
@@ -1903,6 +1831,268 @@ mod tests {
             text.contains("pdb_server_queries_total{engine=\"lifted\"} 1"),
             "{text}"
         );
+    }
+
+    /// Every family `metrics` emits, in emission order: `(name, type, help)`.
+    #[rustfmt::skip]
+    const FAMILIES: [(&str, &str, &str); 37] = [
+        ("pdb_server_queries_total", "counter", "queries answered, by engine"),
+        ("pdb_server_query_errors_total", "counter", "queries that failed"),
+        ("pdb_server_timeouts_total", "counter", "queries degraded to the approximate engine by timeout"),
+        ("pdb_server_cache_lookups_total", "counter", "result-cache probes, by outcome"),
+        ("pdb_server_cache_entries", "gauge", "live result-cache entries"),
+        ("pdb_server_cache_capacity", "gauge", "result-cache capacity"),
+        ("pdb_server_connections_active", "gauge", "currently open client connections"),
+        ("pdb_server_connections_total", "counter", "client connections accepted"),
+        ("pdb_server_query_latency_us", "histogram", "end-to-end query latency, microseconds"),
+        ("pdb_server_view_refresh_us", "histogram", "view create/refresh latency, microseconds"),
+        ("pdb_kernel_batched_evals_total", "counter", "batched evaluation calls"),
+        ("pdb_kernel_bytes_per_eval", "gauge", "average program bytes per evaluation (decode amortization)"),
+        ("pdb_kernel_eval_bytes_total", "counter", "program bytes streamed by all evaluations"),
+        ("pdb_kernel_evals_total", "counter", "flat-program evaluations (each batch lane counts once)"),
+        ("pdb_kernel_flattened_total", "counter", "circuits lowered to flat programs"),
+        ("pdb_kernel_program_bytes", "histogram", "flat program size at flatten time, bytes"),
+        ("pdb_par_jobs_total", "counter", "tasks executed by the work-stealing pool"),
+        ("pdb_par_steals_total", "counter", "tasks that ran on a thread other than the one that queued them"),
+        ("pdb_par_threads", "gauge", "configured pool parallelism (including the submitting thread)"),
+        ("pdb_par_utilization", "gauge", "fraction of available thread-time spent executing tasks"),
+        ("pdb_replica_apply_us", "histogram", "apply latency per streamed record, microseconds"),
+        ("pdb_replica_bootstraps_total", "counter", "snapshot bootstraps (initial and forced)"),
+        ("pdb_replica_connected_replicas", "gauge", "replicas currently attached to this primary"),
+        ("pdb_replica_lag_records", "gauge", "records behind the primary's advertised head"),
+        ("pdb_replica_reconnects_total", "counter", "replication sessions that ended and were retried"),
+        ("pdb_replica_records_applied_total", "counter", "WAL records applied from the replication stream"),
+        ("pdb_replica_streamed_total", "counter", "records streamed to all attached replicas"),
+        ("pdb_store_checkpoint_us", "histogram", "checkpoint duration, microseconds"),
+        ("pdb_store_checkpoints_total", "counter", "checkpoints completed"),
+        ("pdb_store_fsync_us", "histogram", "WAL fsync latency, microseconds"),
+        ("pdb_store_next_lsn", "gauge", "LSN the next mutation will get"),
+        ("pdb_store_wal_appends_total", "counter", "WAL records appended"),
+        ("pdb_store_wal_syncs_total", "counter", "WAL fsyncs issued"),
+        ("pdb_views_incremental_total", "counter", "probability updates absorbed incrementally"),
+        ("pdb_views_recompiles_total", "counter", "views compiled or rebuilt from scratch"),
+        ("pdb_views_refresh_us", "histogram", "view refresh duration, microseconds"),
+        ("pdb_views_registered", "gauge", "currently registered views"),
+    ];
+
+    fn durable_service(fs: Arc<pdb_store::MemFs>) -> Service {
+        let (store, rec) = Store::open(
+            fs,
+            std::path::Path::new("data"),
+            pdb_store::StoreOptions::default(),
+        )
+        .unwrap();
+        Service::with_store(rec.db, rec.views, store, no_deadline_opts())
+    }
+
+    /// The unlabelled sample of `family` in a `metrics` payload.
+    fn sample(metrics: &str, family: &str) -> String {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(family)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {family} sample in:\n{metrics}"))
+            .to_string()
+    }
+
+    /// The value of `key=` on the `stats` line starting with `section`.
+    fn field(stats: &str, section: &str, key: &str) -> String {
+        let line = stats
+            .lines()
+            .find(|l| l.starts_with(section))
+            .unwrap_or_else(|| panic!("no {section} line in:\n{stats}"));
+        line.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("no {key}= in {line:?}"))
+            .to_string()
+    }
+
+    #[test]
+    fn metrics_families_and_headers_are_pinned_for_every_role() {
+        let expected: Vec<String> = FAMILIES
+            .iter()
+            .flat_map(|(name, kind, help)| {
+                [
+                    format!("# HELP {name} {help}"),
+                    format!("# TYPE {name} {kind}"),
+                ]
+            })
+            .collect();
+        let replica = Service::new_replica(
+            "127.0.0.1:9",
+            Arc::new(ReplicaStatus::new()),
+            no_deadline_opts(),
+        );
+        for (role, svc) in [
+            ("memory-only", seeded_service(no_deadline_opts())),
+            (
+                "durable",
+                durable_service(Arc::new(pdb_store::MemFs::new())),
+            ),
+            ("replica", replica),
+        ] {
+            let (text, _) = svc.handle_line("metrics");
+            let headers: Vec<&str> = text.lines().filter(|l| l.starts_with("# ")).collect();
+            assert_eq!(headers, expected, "{role}");
+        }
+    }
+
+    #[test]
+    fn stats_payload_is_pinned() {
+        // A private 1-thread pool runs every task inline: its counters stay
+        // at zero whatever other tests do to the global pool.
+        let pool = pdb_par::Pool::new(1);
+        pdb_par::with_pool(&pool, || {
+            let svc = durable_service(Arc::new(pdb_store::MemFs::new()));
+            for line in [
+                "insert R 1 0.5",
+                "insert S 1 2 0.8",
+                "insert T 2 0.4",
+                "view create v query exists x. exists y. R(x) & S(x,y)",
+                "update S 1 2 0.4",
+                Q,
+                Q,
+                "query exists x. exists y. R(x) & S(x,y) & T(y)",
+                "query R(x) @@@",
+                "insert S 1 3 0.5",
+                "view refresh v",
+            ] {
+                svc.handle_line(line);
+            }
+            let (_frames, _feed) = svc.replication_sync(0).unwrap();
+            svc.stats().connection_opened();
+            svc.stats().connection_opened();
+            svc.stats().connection_closed();
+            // The kernel counters are process-global and other tests move
+            // them: render between two equal readings, check the line
+            // against that reading, then mask it.
+            let text = loop {
+                let k = pdb_kernel::stats();
+                let text = svc.stats_text();
+                if pdb_kernel::stats() == k {
+                    let line = format!(
+                        "kernel: flattened={} evals={} batched={} bytes_per_eval={}\n",
+                        k.flattened,
+                        k.evals,
+                        k.batched_evals,
+                        k.bytes_per_eval()
+                    );
+                    assert!(text.contains(&line), "{text}");
+                    break text.replace(&line, "kernel: _\n");
+                }
+            };
+            // Latencies are wall-clock: mask their values, keep the counts.
+            let masked: String = text
+                .lines()
+                .map(|l| {
+                    if l.starts_with("latency_us:") || l.starts_with("view_refresh_us:") {
+                        l.split(' ')
+                            .map(|kv| match kv.split_once('=') {
+                                Some((k, _)) if k != "samples" => format!("{k}=_"),
+                                _ => kv.to_string(),
+                            })
+                            .collect::<Vec<_>>()
+                            .join(" ")
+                    } else {
+                        l.to_string()
+                    }
+                })
+                .map(|l| l + "\n")
+                .collect();
+            assert_eq!(
+                masked,
+                "queries: total=3 lifted=2 safe_plan=0 grounded=1 approximate=0 errors=1\n\
+                 cache: hits=1 misses=3 hit_rate=0.250 entries=2 capacity=64\n\
+                 latency_us: p50=_ p95=_ max=_ samples=4\n\
+                 views: count=1 rows=1 incremental=1 recompiles=2 incremental_ratio=0.333\n\
+                 view_refresh_us: p50=_ p95=_ max=_ samples=2\n\
+                 pool: threads=1 jobs=0 steals=0 utilization=0.000\n\
+                 kernel: _\n\
+                 timeouts: 0\n\
+                 connections: active=1 total=2\n\
+                 replication: role=primary replicas=1 streamed=0 next_lsn=6\n"
+            );
+        });
+    }
+
+    #[test]
+    fn stats_and_metrics_agree_on_per_instance_counters() {
+        let svc = seeded_service(no_deadline_opts());
+        for line in [
+            "view create v query exists x. exists y. R(x) & S(x,y)",
+            "update S 1 2 0.4",
+            "update S 1 2 0.3",
+            "update R 1 0.6",
+            "insert S 1 3 0.5",
+            "view refresh v",
+            Q,
+            Q,
+            "query R(x) @@@",
+        ] {
+            svc.handle_line(line);
+        }
+        let (stats, _) = svc.handle_line("stats");
+        let (metrics, _) = svc.handle_line("metrics");
+        for (key, family) in [
+            ("incremental", "pdb_views_incremental_total"),
+            ("recompiles", "pdb_views_recompiles_total"),
+            ("count", "pdb_views_registered"),
+        ] {
+            assert_eq!(
+                field(&stats, "views:", key),
+                sample(&metrics, family),
+                "{key}"
+            );
+        }
+        assert_eq!(field(&stats, "views:", "incremental"), "3");
+        assert_eq!(field(&stats, "views:", "recompiles"), "2");
+        for (key, family) in [
+            ("lifted", "pdb_server_queries_total{engine=\"lifted\"}"),
+            (
+                "safe_plan",
+                "pdb_server_queries_total{engine=\"safe_plan\"}",
+            ),
+            ("grounded", "pdb_server_queries_total{engine=\"grounded\"}"),
+            (
+                "approximate",
+                "pdb_server_queries_total{engine=\"approximate\"}",
+            ),
+            ("errors", "pdb_server_query_errors_total"),
+        ] {
+            assert_eq!(
+                field(&stats, "queries:", key),
+                sample(&metrics, family),
+                "{key}"
+            );
+        }
+        for (key, family) in [
+            ("hits", "pdb_server_cache_lookups_total{outcome=\"hit\"}"),
+            ("misses", "pdb_server_cache_lookups_total{outcome=\"miss\"}"),
+            ("entries", "pdb_server_cache_entries"),
+            ("capacity", "pdb_server_cache_capacity"),
+        ] {
+            assert_eq!(
+                field(&stats, "cache:", key),
+                sample(&metrics, family),
+                "{key}"
+            );
+        }
+    }
+
+    #[test]
+    fn next_lsn_is_served_right_after_recovery() {
+        let fs = Arc::new(pdb_store::MemFs::new());
+        {
+            let svc = durable_service(fs.clone());
+            for line in ["insert R 1 0.5", "insert R 2 0.5", "insert R 3 0.5"] {
+                svc.handle_line(line);
+            }
+        }
+        // Another store's append must not leak into this server's head.
+        durable_service(Arc::new(pdb_store::MemFs::new())).handle_line("insert R 9 0.5");
+        // Reopen and scrape with no write in between.
+        let svc = durable_service(fs);
+        let (metrics, _) = svc.handle_line("metrics");
+        assert_eq!(sample(&metrics, "pdb_store_next_lsn"), "3");
     }
 
     #[test]

@@ -1,90 +1,40 @@
-//! Engine observability: per-method query counters, cache hit/miss rates,
-//! latency percentiles, timeouts, and connection gauges.
+//! The `stats` and `metrics` payloads, and the per-instance counters
+//! behind them.
 //!
-//! Everything is lock-free: counters are atomics and the latency histograms
+//! This is the only module that names metric families. Each quantity is
+//! counted once, where the work happens, and [`Sources`] renders both
+//! payloads by reading those counters at scrape time — nothing is copied
+//! into a registry or mirrored between scrapes.
+//!
+//! - **Per `Service`**: [`Stats`] (queries by engine, errors, timeouts,
+//!   cache lookups, connections, latencies), the result cache's size, the
+//!   served [`ViewManager`]'s counters, the replica role's
+//!   [`ReplicaStatus`] and the primary's [`ReplicaHub`], whose head LSN is
+//!   `pdb_store_next_lsn`.
+//! - **Process-global**: the kernel counters ([`pdb_kernel::stats`],
+//!   [`pdb_kernel::program_bytes`]), the current pool's
+//!   [`pdb_par::PoolStats`], the store's WAL, fsync and checkpoint statics
+//!   ([`pdb_store::metrics`]) and the view refresh histogram
+//!   ([`pdb_views::metrics`]).
+//!
+//! Every server emits the same families in the same order — the
+//! `pdb_server_*` families, then the rest sorted by name — and a family
+//! with no source on this server (a memory-only server's store, a
+//! primary's replica apply path) renders zero-valued. Nothing here takes
+//! the store mutex, so a scrape never queues behind an fsync or a
+//! checkpoint.
+//!
+//! The counters are lock-free: plain atomics, and the latency histograms
 //! are [`pdb_obs::AtomicHistogram`]s (log₂ microsecond buckets), so the
 //! request path never blocks on — and can never poison — an observability
-//! lock. Percentiles interpolate within their bucket (see `pdb_obs::hist`),
-//! fixing the old bucket-upper-bound reporting that overstated p50/p99 by up
-//! to 2×.
-//!
-//! `Stats` is **per serving instance** (tests rely on fresh instances
-//! starting at zero); the process-global Prometheus registry is a separate
-//! layer, and [`Stats::render_prometheus`] renders this instance's counters
-//! in the same exposition format so the server's `metrics` command can emit
-//! both.
+//! lock. Percentiles interpolate within their bucket (see `pdb_obs::hist`).
 
 use pdb_core::Method;
 use pdb_obs::{AtomicHistogram, ExpositionBuilder};
+use pdb_replica::{ReplicaHub, ReplicaStatus};
+use pdb_views::ViewManager;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Point-in-time view-manager gauges injected into the stats payload (the
-/// manager lives behind its own lock; the render caller snapshots it).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ViewsSnapshot {
-    /// Registered views.
-    pub views: usize,
-    /// Materialized rows across all views.
-    pub rows: usize,
-    /// Probability updates absorbed by incremental circuit re-evaluation.
-    pub incremental: u64,
-    /// Full view (re)compilations, including initial builds.
-    pub recompiles: u64,
-}
-
-/// Point-in-time thread-pool gauges injected into the stats payload (taken
-/// from `pdb_par::Pool::stats` by the render caller).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PoolSnapshot {
-    /// Configured parallelism (`PROBDB_THREADS` / `--threads`).
-    pub threads: usize,
-    /// Tasks executed since the pool was created.
-    pub jobs: u64,
-    /// Tasks that ran on a thread other than the one that queued them.
-    pub steals: u64,
-    /// Fraction of available thread-time spent executing tasks, `[0, 1]`.
-    pub utilization: f64,
-}
-
-impl From<pdb_par::PoolStats> for PoolSnapshot {
-    fn from(stats: pdb_par::PoolStats) -> PoolSnapshot {
-        PoolSnapshot {
-            threads: stats.threads,
-            jobs: stats.jobs,
-            steals: stats.steals,
-            utilization: stats.utilization(),
-        }
-    }
-}
-
-/// Point-in-time kernel counters injected into the stats payload (taken
-/// from `pdb_kernel::stats()` by the render caller): how much evaluation
-/// runs through flattened circuit programs and how well the batched path
-/// amortizes program bytes across evaluations.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KernelSnapshot {
-    /// Circuits lowered into flat programs since process start.
-    pub flattened: u64,
-    /// Flat-program evaluations (each batched lane counts as one).
-    pub evals: u64,
-    /// Batched evaluation calls (each covering many lanes).
-    pub batched: u64,
-    /// Program bytes read per evaluation, amortized (batched calls charge
-    /// their program once across all lanes).
-    pub bytes_per_eval: u64,
-}
-
-impl From<pdb_kernel::KernelStats> for KernelSnapshot {
-    fn from(stats: pdb_kernel::KernelStats) -> KernelSnapshot {
-        KernelSnapshot {
-            flattened: stats.flattened,
-            evals: stats.evals,
-            batched: stats.batched_evals,
-            bytes_per_eval: stats.bytes_per_eval(),
-        }
-    }
-}
 
 /// Shared counters for one serving instance.
 #[derive(Default)]
@@ -172,60 +122,75 @@ impl Stats {
     pub fn cache_misses(&self) -> u64 {
         self.cache_misses.load(Ordering::Relaxed)
     }
+}
 
+/// What one `stats` or `metrics` payload reads, borrowed from the places
+/// that count it.
+pub(crate) struct Sources<'a> {
+    pub(crate) stats: &'a Stats,
+    pub(crate) cache_len: usize,
+    pub(crate) cache_capacity: usize,
+    pub(crate) views: &'a ViewManager,
+    /// The replica role: the primary's address and the client's status.
+    pub(crate) replica: Option<(&'a str, &'a ReplicaStatus)>,
+    /// The primary-side hub, present whenever the service has a store.
+    pub(crate) hub: Option<&'a ReplicaHub>,
+}
+
+impl Sources<'_> {
     /// Renders the `stats` command payload.
-    pub fn render(
-        &self,
-        cache_len: usize,
-        cache_capacity: usize,
-        views: ViewsSnapshot,
-        pool: PoolSnapshot,
-        kernel: KernelSnapshot,
-    ) -> String {
+    pub(crate) fn stats_text(&self) -> String {
+        let s = self.stats;
         let (lifted, safe_plan, grounded, approximate, errors) = (
-            self.lifted.load(Ordering::Relaxed),
-            self.safe_plan.load(Ordering::Relaxed),
-            self.grounded.load(Ordering::Relaxed),
-            self.approximate.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
+            s.lifted.load(Ordering::Relaxed),
+            s.safe_plan.load(Ordering::Relaxed),
+            s.grounded.load(Ordering::Relaxed),
+            s.approximate.load(Ordering::Relaxed),
+            s.errors.load(Ordering::Relaxed),
         );
         let total = lifted + safe_plan + grounded + approximate;
-        let (hits, misses) = (self.cache_hits(), self.cache_misses());
+        let (hits, misses) = (s.cache_hits(), s.cache_misses());
         let lookups = hits + misses;
         let hit_rate = if lookups == 0 {
             0.0
         } else {
             hits as f64 / lookups as f64
         };
-        let maintenance = views.incremental + views.recompiles;
+        let incremental = self.views.incremental_applied();
+        let recompiles = self.views.recompiles();
+        let maintenance = incremental + recompiles;
         let incremental_ratio = if maintenance == 0 {
             0.0
         } else {
-            views.incremental as f64 / maintenance as f64
+            incremental as f64 / maintenance as f64
         };
-        let lat = self.latency.snapshot();
-        let vlat = self.view_refresh_latency.snapshot();
-        format!(
+        let lat = s.latency.snapshot();
+        let vlat = s.view_refresh_latency.snapshot();
+        // The pool every engine call in this process runs on: queries,
+        // answer rows, sampling chunks, and view builds all share it.
+        let pool = pdb_par::current().stats();
+        let kernel = pdb_kernel::stats();
+        let mut text = format!(
             "queries: total={total} lifted={lifted} safe_plan={safe_plan} \
              grounded={grounded} approximate={approximate} errors={errors}\n\
              cache: hits={hits} misses={misses} hit_rate={hit_rate:.3} \
-             entries={cache_len} capacity={cache_capacity}\n\
+             entries={} capacity={}\n\
              latency_us: p50={} p95={} max={} samples={}\n\
-             views: count={} rows={} incremental={} recompiles={} \
+             views: count={} rows={} incremental={incremental} recompiles={recompiles} \
              incremental_ratio={incremental_ratio:.3}\n\
              view_refresh_us: p50={} p95={} max={} samples={}\n\
              pool: threads={} jobs={} steals={} utilization={:.3}\n\
              kernel: flattened={} evals={} batched={} bytes_per_eval={}\n\
              timeouts: {}\n\
              connections: active={} total={}\n",
+            self.cache_len,
+            self.cache_capacity,
             lat.quantile(0.50),
             lat.quantile(0.95),
             lat.max,
             lat.count,
-            views.views,
-            views.rows,
-            views.incremental,
-            views.recompiles,
+            self.views.len(),
+            self.views.row_count(),
             vlat.quantile(0.50),
             vlat.quantile(0.95),
             vlat.max,
@@ -233,88 +198,253 @@ impl Stats {
             pool.threads,
             pool.jobs,
             pool.steals,
-            pool.utilization,
+            pool.utilization(),
             kernel.flattened,
             kernel.evals,
-            kernel.batched,
-            kernel.bytes_per_eval,
-            self.timeouts(),
-            self.active_connections.load(Ordering::Relaxed),
-            self.total_connections.load(Ordering::Relaxed),
-        )
+            kernel.batched_evals,
+            kernel.bytes_per_eval(),
+            s.timeouts(),
+            s.active_connections.load(Ordering::Relaxed),
+            s.total_connections.load(Ordering::Relaxed),
+        );
+        if let Some((primary, r)) = self.replica {
+            text.push_str(&format!(
+                "replication: role=replica primary={primary} connected={} \
+                 primary_down={} applied_lsn={} primary_lsn={} lag={} \
+                 bootstraps={} reconnects={}\n",
+                r.connected(),
+                r.primary_down(),
+                r.next_lsn(),
+                r.primary_lsn(),
+                r.lag(),
+                r.bootstraps(),
+                r.reconnects(),
+            ));
+        } else if let Some(hub) = self.hub {
+            text.push_str(&format!(
+                "replication: role=primary replicas={} streamed={} next_lsn={}\n",
+                hub.replica_count(),
+                hub.streamed(),
+                hub.next_lsn(),
+            ));
+        }
+        text
     }
 
-    /// Renders this instance's counters as Prometheus text exposition (the
-    /// `pdb_server_*` families). The server's `metrics` command appends the
-    /// process-global registry ([`pdb_obs::render`]) after this.
-    pub fn render_prometheus(&self, cache_len: usize, cache_capacity: usize) -> String {
+    /// Renders the `metrics` command payload: Prometheus text exposition.
+    pub(crate) fn metrics_text(&self) -> String {
+        let s = self.stats;
         let mut b = ExpositionBuilder::new();
         b.counter_samples(
             "pdb_server_queries_total",
             "queries answered, by engine",
             &[
-                ("{engine=\"lifted\"}", self.lifted.load(Ordering::Relaxed)),
+                ("{engine=\"lifted\"}", s.lifted.load(Ordering::Relaxed)),
                 (
                     "{engine=\"safe_plan\"}",
-                    self.safe_plan.load(Ordering::Relaxed),
+                    s.safe_plan.load(Ordering::Relaxed),
                 ),
-                (
-                    "{engine=\"grounded\"}",
-                    self.grounded.load(Ordering::Relaxed),
-                ),
+                ("{engine=\"grounded\"}", s.grounded.load(Ordering::Relaxed)),
                 (
                     "{engine=\"approximate\"}",
-                    self.approximate.load(Ordering::Relaxed),
+                    s.approximate.load(Ordering::Relaxed),
                 ),
             ],
         );
         b.counter(
             "pdb_server_query_errors_total",
             "queries that failed",
-            self.errors.load(Ordering::Relaxed),
+            s.errors.load(Ordering::Relaxed),
         );
         b.counter(
             "pdb_server_timeouts_total",
             "queries degraded to the approximate engine by timeout",
-            self.timeouts(),
+            s.timeouts(),
         );
         b.counter_samples(
             "pdb_server_cache_lookups_total",
             "result-cache probes, by outcome",
             &[
-                ("{outcome=\"hit\"}", self.cache_hits()),
-                ("{outcome=\"miss\"}", self.cache_misses()),
+                ("{outcome=\"hit\"}", s.cache_hits()),
+                ("{outcome=\"miss\"}", s.cache_misses()),
             ],
         );
         b.gauge(
             "pdb_server_cache_entries",
             "live result-cache entries",
-            cache_len as f64,
+            self.cache_len as f64,
         );
         b.gauge(
             "pdb_server_cache_capacity",
             "result-cache capacity",
-            cache_capacity as f64,
+            self.cache_capacity as f64,
         );
         b.gauge(
             "pdb_server_connections_active",
             "currently open client connections",
-            self.active_connections.load(Ordering::Relaxed) as f64,
+            s.active_connections.load(Ordering::Relaxed) as f64,
         );
         b.counter(
             "pdb_server_connections_total",
             "client connections accepted",
-            self.total_connections.load(Ordering::Relaxed),
+            s.total_connections.load(Ordering::Relaxed),
         );
         b.histogram(
             "pdb_server_query_latency_us",
             "end-to-end query latency, microseconds",
-            &self.latency.snapshot(),
+            &s.latency.snapshot(),
         );
         b.histogram(
             "pdb_server_view_refresh_us",
             "view create/refresh latency, microseconds",
-            &self.view_refresh_latency.snapshot(),
+            &s.view_refresh_latency.snapshot(),
+        );
+
+        let kernel = pdb_kernel::stats();
+        b.counter(
+            "pdb_kernel_batched_evals_total",
+            "batched evaluation calls",
+            kernel.batched_evals,
+        );
+        b.gauge(
+            "pdb_kernel_bytes_per_eval",
+            "average program bytes per evaluation (decode amortization)",
+            kernel.bytes_per_eval() as f64,
+        );
+        b.counter(
+            "pdb_kernel_eval_bytes_total",
+            "program bytes streamed by all evaluations",
+            kernel.eval_bytes,
+        );
+        b.counter(
+            "pdb_kernel_evals_total",
+            "flat-program evaluations (each batch lane counts once)",
+            kernel.evals,
+        );
+        b.counter(
+            "pdb_kernel_flattened_total",
+            "circuits lowered to flat programs",
+            kernel.flattened,
+        );
+        b.histogram(
+            "pdb_kernel_program_bytes",
+            "flat program size at flatten time, bytes",
+            &pdb_kernel::program_bytes(),
+        );
+
+        let pool = pdb_par::current().stats();
+        b.counter(
+            "pdb_par_jobs_total",
+            "tasks executed by the work-stealing pool",
+            pool.jobs,
+        );
+        b.counter(
+            "pdb_par_steals_total",
+            "tasks that ran on a thread other than the one that queued them",
+            pool.steals,
+        );
+        b.gauge(
+            "pdb_par_threads",
+            "configured pool parallelism (including the submitting thread)",
+            pool.threads as f64,
+        );
+        b.gauge(
+            "pdb_par_utilization",
+            "fraction of available thread-time spent executing tasks",
+            pool.utilization(),
+        );
+
+        let replica = self.replica.map(|(_, r)| r);
+        b.histogram(
+            "pdb_replica_apply_us",
+            "apply latency per streamed record, microseconds",
+            &replica
+                .map(ReplicaStatus::apply_latency)
+                .unwrap_or_default(),
+        );
+        b.counter(
+            "pdb_replica_bootstraps_total",
+            "snapshot bootstraps (initial and forced)",
+            replica.map_or(0, ReplicaStatus::bootstraps),
+        );
+        b.gauge(
+            "pdb_replica_connected_replicas",
+            "replicas currently attached to this primary",
+            self.hub.map_or(0, ReplicaHub::replica_count) as f64,
+        );
+        b.gauge(
+            "pdb_replica_lag_records",
+            "records behind the primary's advertised head",
+            replica.map_or(0, ReplicaStatus::lag) as f64,
+        );
+        b.counter(
+            "pdb_replica_reconnects_total",
+            "replication sessions that ended and were retried",
+            replica.map_or(0, ReplicaStatus::reconnects),
+        );
+        b.counter(
+            "pdb_replica_records_applied_total",
+            "WAL records applied from the replication stream",
+            replica.map_or(0, ReplicaStatus::records_applied),
+        );
+        b.counter(
+            "pdb_replica_streamed_total",
+            "records streamed to all attached replicas",
+            self.hub.map_or(0, ReplicaHub::streamed),
+        );
+
+        b.histogram(
+            "pdb_store_checkpoint_us",
+            "checkpoint duration, microseconds",
+            &pdb_store::metrics::CHECKPOINT_US.snapshot(),
+        );
+        b.counter(
+            "pdb_store_checkpoints_total",
+            "checkpoints completed",
+            pdb_store::metrics::CHECKPOINTS.get(),
+        );
+        b.histogram(
+            "pdb_store_fsync_us",
+            "WAL fsync latency, microseconds",
+            &pdb_store::metrics::FSYNC_US.snapshot(),
+        );
+        // Every append is published to the hub under the store mutex, so
+        // its head is the store's next LSN — read without that mutex.
+        b.gauge(
+            "pdb_store_next_lsn",
+            "LSN the next mutation will get",
+            self.hub.map_or(0, ReplicaHub::next_lsn) as f64,
+        );
+        b.counter(
+            "pdb_store_wal_appends_total",
+            "WAL records appended",
+            pdb_store::metrics::WAL_APPENDS.get(),
+        );
+        b.counter(
+            "pdb_store_wal_syncs_total",
+            "WAL fsyncs issued",
+            pdb_store::metrics::WAL_SYNCS.get(),
+        );
+
+        b.counter(
+            "pdb_views_incremental_total",
+            "probability updates absorbed incrementally",
+            self.views.incremental_applied(),
+        );
+        b.counter(
+            "pdb_views_recompiles_total",
+            "views compiled or rebuilt from scratch",
+            self.views.recompiles(),
+        );
+        b.histogram(
+            "pdb_views_refresh_us",
+            "view refresh duration, microseconds",
+            &pdb_views::metrics::REFRESH_US.snapshot(),
+        );
+        b.gauge(
+            "pdb_views_registered",
+            "currently registered views",
+            self.views.len() as f64,
         );
         b.finish()
     }
@@ -324,34 +454,19 @@ impl Stats {
 mod tests {
     use super::*;
 
-    #[test]
-    fn histogram_quantiles_interpolate_within_buckets() {
-        let h = AtomicHistogram::new();
-        for us in [1u64, 2, 3, 10, 100, 1000, 5000] {
-            h.record_duration(Duration::from_micros(us));
+    fn sources<'a>(stats: &'a Stats, views: &'a ViewManager) -> Sources<'a> {
+        Sources {
+            stats,
+            cache_len: 5,
+            cache_capacity: 1024,
+            views,
+            replica: None,
+            hub: None,
         }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.max(), 5000);
-        // Exact pins (the satellite fix): rank 3.5 lands in bucket [8,16),
-        // half-way → 12. The old upper-bound code reported 15.
-        assert_eq!(h.quantile(0.5), 12);
-        // p95 interpolates in [4096,8192) to 6758, capped at the max.
-        assert_eq!(h.quantile(0.95), 5000);
-        assert!(h.quantile(0.5) <= h.quantile(0.95));
-        assert!(h.quantile(1.0) <= h.max());
     }
 
     #[test]
-    fn histogram_empty_and_zero() {
-        let h = AtomicHistogram::new();
-        assert_eq!(h.quantile(0.5), 0);
-        h.record_duration(Duration::ZERO);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile(0.5), 0, "capped at observed max");
-    }
-
-    #[test]
-    fn render_shows_all_sections() {
+    fn both_payloads_read_this_instance_counters() {
         let s = Stats::default();
         s.record_method(Method::Lifted);
         s.record_method(Method::Grounded);
@@ -362,81 +477,44 @@ mod tests {
         s.record_latency(Duration::from_micros(120));
         s.record_view_refresh(Duration::from_micros(80));
         s.connection_opened();
-        let text = s.render(
-            5,
-            1024,
-            ViewsSnapshot {
-                views: 2,
-                rows: 7,
-                incremental: 3,
-                recompiles: 1,
-            },
-            PoolSnapshot {
-                threads: 4,
-                jobs: 12,
-                steals: 2,
-                utilization: 0.25,
-            },
-            KernelSnapshot {
-                flattened: 6,
-                evals: 130,
-                batched: 2,
-                bytes_per_eval: 48,
-            },
-        );
+        let views = ViewManager::new();
+        let text = sources(&s, &views).stats_text();
         for needle in [
-            "total=3",
-            "lifted=1",
-            "safe_plan=0",
-            "grounded=1",
-            "approximate=1",
-            "hits=1",
-            "misses=1",
-            "hit_rate=0.500",
-            "entries=5",
-            "capacity=1024",
-            "views: count=2 rows=7 incremental=3 recompiles=1",
-            "incremental_ratio=0.750",
-            "view_refresh_us:",
-            "pool: threads=4 jobs=12 steals=2 utilization=0.250",
-            "kernel: flattened=6 evals=130 batched=2 bytes_per_eval=48",
+            "queries: total=3 lifted=1 safe_plan=0 grounded=1 approximate=1 errors=0",
+            "cache: hits=1 misses=1 hit_rate=0.500 entries=5 capacity=1024",
+            "max=120 samples=1",
+            "views: count=0 rows=0 incremental=0 recompiles=0 incremental_ratio=0.000",
+            "max=80 samples=1",
             "timeouts: 1",
-            "active=1 total=1",
+            "connections: active=1 total=1",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-    }
+        assert!(!text.contains("replication:"), "{text}");
 
-    #[test]
-    fn prometheus_render_is_valid_and_per_instance() {
-        let s = Stats::default();
-        s.record_method(Method::Lifted);
-        s.record_cache_hit();
-        s.record_latency(Duration::from_micros(100));
-        s.connection_opened();
-        let text = s.render_prometheus(3, 256);
+        let text = sources(&s, &views).metrics_text();
         let summary = pdb_obs::expo::validate(&text).expect("must be valid exposition");
-        assert_eq!(
-            summary.kind("pdb_server_queries_total"),
-            Some(pdb_obs::expo::FamilyKind::Counter)
-        );
-        assert_eq!(
-            summary.kind("pdb_server_connections_active"),
-            Some(pdb_obs::expo::FamilyKind::Gauge)
-        );
-        assert_eq!(
-            summary.kind("pdb_server_query_latency_us"),
-            Some(pdb_obs::expo::FamilyKind::Histogram)
-        );
-        assert!(text.contains("pdb_server_queries_total{engine=\"lifted\"} 1"));
-        assert!(text.contains("pdb_server_queries_total{engine=\"grounded\"} 0"));
-        assert!(text.contains("pdb_server_cache_lookups_total{outcome=\"hit\"} 1"));
-        assert!(text.contains("pdb_server_query_latency_us_count 1"));
+        assert_eq!(summary.families.len(), 37);
+        for needle in [
+            "pdb_server_queries_total{engine=\"lifted\"} 1",
+            "pdb_server_queries_total{engine=\"approximate\"} 1",
+            "pdb_server_timeouts_total 1",
+            "pdb_server_cache_lookups_total{outcome=\"hit\"} 1",
+            "pdb_server_cache_entries 5",
+            "pdb_server_query_latency_us_count 1",
+            // No replica role and no hub: those families read zero.
+            "pdb_replica_apply_us_count 0",
+            "pdb_replica_lag_records 0",
+            "pdb_store_next_lsn 0",
+            "pdb_views_registered 0",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
 
         // A fresh instance starts at zero (per-instance semantics).
         let fresh = Stats::default();
-        assert!(fresh
-            .render_prometheus(0, 0)
+        assert!(sources(&fresh, &views)
+            .metrics_text()
             .contains("pdb_server_queries_total{engine=\"lifted\"} 0"));
     }
 }

@@ -1,58 +1,23 @@
-//! Prometheus metrics for the storage engine.
+//! The storage engine's counters, read by the server's `stats` and
+//! `metrics` commands.
 //!
 //! The statics are `const`-constructed [`pdb_obs`] primitives, so ticking
 //! them from [`Store::append`](crate::Store::append) and the fsync path costs
-//! a few relaxed atomic ops — no locks, no allocation, and no behaviour
-//! change for stores that never render metrics. Note the statics are
-//! process-global: a process hosting several `Store` instances (tests, a
-//! replica applying while a primary serves) aggregates across all of them,
-//! which is the useful monitoring view; per-instance truth stays in
-//! [`StoreStats`](crate::store::StoreStats).
+//! a few relaxed atomic ops — no locks, no allocation, and reading them never
+//! takes the store's mutex. They are process-global: a process hosting
+//! several `Store` instances (tests, a replica applying while a primary
+//! serves) aggregates across all of them, which is the useful monitoring
+//! view.
 
-use pdb_obs::{AtomicHistogram, Counter, Gauge};
+use pdb_obs::{AtomicHistogram, Counter};
 
 /// WAL records appended (acknowledged mutations).
-pub(crate) static WAL_APPENDS: Counter = Counter::new();
+pub static WAL_APPENDS: Counter = Counter::new();
 /// WAL fsyncs issued (policy-driven and explicit flushes).
-pub(crate) static WAL_SYNCS: Counter = Counter::new();
+pub static WAL_SYNCS: Counter = Counter::new();
 /// Checkpoints completed.
-pub(crate) static CHECKPOINTS: Counter = Counter::new();
+pub static CHECKPOINTS: Counter = Counter::new();
 /// fsync wall time, microseconds.
-pub(crate) static FSYNC_US: AtomicHistogram = AtomicHistogram::new();
+pub static FSYNC_US: AtomicHistogram = AtomicHistogram::new();
 /// Checkpoint wall time (snapshot encode + write + log rewrite), microseconds.
-pub(crate) static CHECKPOINT_US: AtomicHistogram = AtomicHistogram::new();
-/// The LSN the next mutation will get, from the most recent append or
-/// checkpoint on any store in the process.
-pub(crate) static NEXT_LSN: Gauge = Gauge::new();
-
-/// File the store's metrics with the global registry. Idempotent; called by
-/// the server on every `metrics` scrape so the families exist (zero-valued)
-/// even on a memory-only server.
-pub fn register() {
-    pdb_obs::register_counter(
-        "pdb_store_wal_appends_total",
-        "WAL records appended",
-        &WAL_APPENDS,
-    );
-    pdb_obs::register_counter("pdb_store_wal_syncs_total", "WAL fsyncs issued", &WAL_SYNCS);
-    pdb_obs::register_counter(
-        "pdb_store_checkpoints_total",
-        "checkpoints completed",
-        &CHECKPOINTS,
-    );
-    pdb_obs::register_histogram(
-        "pdb_store_fsync_us",
-        "WAL fsync latency, microseconds",
-        &FSYNC_US,
-    );
-    pdb_obs::register_histogram(
-        "pdb_store_checkpoint_us",
-        "checkpoint duration, microseconds",
-        &CHECKPOINT_US,
-    );
-    pdb_obs::register_gauge(
-        "pdb_store_next_lsn",
-        "LSN the next mutation will get",
-        &NEXT_LSN,
-    );
-}
+pub static CHECKPOINT_US: AtomicHistogram = AtomicHistogram::new();

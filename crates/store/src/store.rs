@@ -109,17 +109,6 @@ pub struct Recovered {
     pub info: RecoveryInfo,
 }
 
-/// Cumulative store counters (observability).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StoreStats {
-    /// Records appended since open.
-    pub appends: u64,
-    /// WAL fsyncs since open.
-    pub syncs: u64,
-    /// Checkpoints completed since open.
-    pub checkpoints: u64,
-}
-
 /// A durable store rooted at one directory: an open WAL append handle plus
 /// the bookkeeping to decide when to checkpoint. All methods take `&mut
 /// self`; concurrent callers serialize through a mutex (see
@@ -133,7 +122,6 @@ pub struct Store {
     next_lsn: u64,
     last_sync: Instant,
     wedged: bool,
-    stats: StoreStats,
 }
 
 impl Store {
@@ -227,7 +215,6 @@ impl Store {
                 next_lsn,
                 last_sync: Instant::now(),
                 wedged: false,
-                stats: StoreStats::default(),
             },
             Recovered { db, views, info },
         ))
@@ -248,9 +235,7 @@ impl Store {
             return Err(StoreError::Io(e));
         }
         self.next_lsn = lsn + 1;
-        self.stats.appends += 1;
         crate::metrics::WAL_APPENDS.inc();
-        crate::metrics::NEXT_LSN.set_u64(self.next_lsn);
         match self.opts.fsync {
             FsyncPolicy::Always => self.sync_wal()?,
             FsyncPolicy::Interval(d) => {
@@ -315,10 +300,8 @@ impl Store {
         }
         self.base_lsn = lsn;
         self.last_sync = Instant::now();
-        self.stats.checkpoints += 1;
         crate::metrics::CHECKPOINTS.inc();
         crate::metrics::CHECKPOINT_US.record_duration(started.elapsed());
-        crate::metrics::NEXT_LSN.set_u64(self.next_lsn);
         for p in self.fs.list(&self.dir)? {
             if let Some(name) = p.file_name().and_then(|n| n.to_str()) {
                 if name.starts_with("snapshot-") && name != format!("snapshot-{lsn}.pdb") {
@@ -368,11 +351,6 @@ impl Store {
         }
     }
 
-    /// Cumulative counters.
-    pub fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
     /// Expected on-disk WAL length (for tests / observability): header
     /// plus every record appended since the last checkpoint.
     pub fn wal_header_len() -> u64 {
@@ -386,7 +364,6 @@ impl Store {
                 crate::metrics::FSYNC_US.record_duration(started.elapsed());
                 crate::metrics::WAL_SYNCS.inc();
                 self.last_sync = Instant::now();
-                self.stats.syncs += 1;
                 Ok(())
             }
             Err(e) => {

@@ -1,50 +1,12 @@
-//! Prometheus metrics for view maintenance.
+//! The view-refresh latency histogram, read by the server's `metrics`
+//! command.
 //!
-//! Ticked from [`ViewManager`](crate::ViewManager) alongside its existing
-//! per-manager counters (which stay authoritative for the `stats` command's
-//! per-instance view); these statics are the process-global aggregate for the
-//! `metrics` exposition. The incremental-vs-recompile ratio these counters
-//! expose is the crate's whole cost model: O(depth) circuit updates against
-//! full rebuilds.
+//! Process-global, unlike the per-manager counters
+//! ([`ViewManager::recompiles`](crate::ViewManager::recompiles),
+//! [`ViewManager::incremental_applied`](crate::ViewManager::incremental_applied))
+//! that the server reads from the manager it serves.
 
-use pdb_obs::{AtomicHistogram, Counter, Gauge};
+use pdb_obs::AtomicHistogram;
 
-/// Views (re)compiled from scratch: installs plus stale-view rebuilds.
-pub(crate) static RECOMPILES: Counter = Counter::new();
-/// Probability updates absorbed incrementally (O(depth), no rebuild).
-pub(crate) static INCREMENTAL: Counter = Counter::new();
-/// Wall time of one view refresh (checking staleness, rebuilding if needed),
-/// microseconds.
-pub(crate) static REFRESH_US: AtomicHistogram = AtomicHistogram::new();
-/// Registered views, set at scrape time by the server.
-static REGISTERED: Gauge = Gauge::new();
-
-/// File the view metrics with the global registry. Idempotent; the server
-/// calls this on every `metrics` scrape.
-pub fn register() {
-    pdb_obs::register_counter(
-        "pdb_views_recompiles_total",
-        "views compiled or rebuilt from scratch",
-        &RECOMPILES,
-    );
-    pdb_obs::register_counter(
-        "pdb_views_incremental_total",
-        "probability updates absorbed incrementally",
-        &INCREMENTAL,
-    );
-    pdb_obs::register_histogram(
-        "pdb_views_refresh_us",
-        "view refresh duration, microseconds",
-        &REFRESH_US,
-    );
-    pdb_obs::register_gauge(
-        "pdb_views_registered",
-        "currently registered views",
-        &REGISTERED,
-    );
-}
-
-/// Publish scrape-time gauges (the server passes its view-manager count).
-pub fn publish(registered: usize) {
-    REGISTERED.set_u64(registered as u64);
-}
+/// Wall time of one view rebuild on refresh, microseconds.
+pub static REFRESH_US: AtomicHistogram = AtomicHistogram::new();

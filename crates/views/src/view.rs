@@ -584,7 +584,6 @@ impl ViewManager {
             view.stale = true;
         }
         self.recompiles += 1;
-        crate::metrics::RECOMPILES.inc();
         let name = view.name.clone();
         Ok(self.views.entry(name).or_insert(view))
     }
@@ -641,7 +640,6 @@ impl ViewManager {
             if ok {
                 view.incremental_updates += 1;
                 self.incremental_applied += 1;
-                crate::metrics::INCREMENTAL.inc();
                 absorbed += 1;
             } else {
                 view.stale = true;
@@ -709,7 +707,6 @@ impl ViewManager {
                 Ok(o) => {
                     if o == RefreshOutcome::Rebuilt {
                         self.recompiles += 1;
-                        crate::metrics::RECOMPILES.inc();
                     }
                     out.push((name.clone(), o));
                 }
@@ -735,7 +732,6 @@ impl ViewManager {
         let outcome = refresh_one(&self.opts, view, db)?;
         if outcome == RefreshOutcome::Rebuilt {
             self.recompiles += 1;
-            crate::metrics::RECOMPILES.inc();
         }
         Ok(outcome)
     }
