@@ -1,15 +1,16 @@
 //! Criterion bench for E15: the flat evaluation kernel.
 //!
-//! The kernel PR's claim is measured and gated here: **batched flat
-//! evaluation beats the seed tree walk ≥ 5×.** A matching-style
-//! decision-DNNF with `n = 2000` independent `xᵢ ∧ yᵢ` pairs (4000 leaves,
-//! ~4000 decision nodes — the lineage shape of the prototypical #P-hard
-//! query) is evaluated under `B = 64` probability vectors three ways: the
-//! seed's memoized recursive tree walk (`DecisionDnnf::probability`, one
+//! The kernel's claim is measured and gated here: **batched flat
+//! evaluation beats the reference walk `DecisionDnnf::probability` ≥ 5×.**
+//! A matching-style decision-DNNF with `n = 2000` independent `xᵢ ∧ yᵢ`
+//! pairs (4000 leaves, ~4000 decision nodes — the lineage shape of the
+//! prototypical #P-hard query) is evaluated under `B = 64` probability
+//! vectors three ways: the reference walk (a memoized recursion with one
 //! `HashMap` per call), the flat scalar kernel (`FlatProgram::eval` per
 //! lane), and the batched kernel (`FlatProgram::eval_batch`, one
 //! instruction stream for all lanes). All three must agree **bit for bit**
-//! on every lane; the batched kernel must be ≥ 5× faster than the tree walk.
+//! on every lane; the batched kernel must be ≥ 5× faster than the
+//! reference walk.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pdb_compile::ddnnf::DdnnfNode;
@@ -120,7 +121,7 @@ fn bench(c: &mut Criterion) {
     g.finish();
 
     // Acceptance gate: bit identity on every lane, then ≥ 5× throughput
-    // for the batched kernel over the seed tree walk.
+    // for the batched kernel over the reference walk.
     let (tree_med, tree_bits) = timed(tree_walk);
     let (scalar_med, scalar_bits) = timed(flat_scalar);
     let (batch_med, batch_bits) = timed(flat_batched);

@@ -1,6 +1,6 @@
 //! # pdb-bid — block-independent-disjoint databases
 //!
-//! The paper's §1 lists BID tables ("block-disjoint-independent [16]") as
+//! The paper's §1 lists BID tables ("block-disjoint-independent \[16\]") as
 //! the main studied alternative to tuple-independent databases. A BID
 //! relation partitions its tuples into *blocks* (sharing a key); within a
 //! block the tuples are **mutually exclusive** (at most one is present),

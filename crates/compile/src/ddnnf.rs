@@ -101,72 +101,52 @@ impl DecisionDnnf {
 
     /// Number of reachable nodes (the Theorem 7.1 size measure).
     pub fn size(&self) -> usize {
-        self.reachable().iter().filter(|&&b| b).count()
+        self.count_reachable(|_| true)
     }
 
     /// Number of reachable decision nodes.
     pub fn decision_count(&self) -> usize {
-        let seen = self.reachable();
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| seen[*i] && matches!(n, DdnnfNode::Decision { .. }))
-            .count()
+        self.count_reachable(|n| matches!(n, DdnnfNode::Decision { .. }))
     }
 
     /// Number of reachable independent-∧ nodes.
     pub fn and_count(&self) -> usize {
+        self.count_reachable(|n| matches!(n, DdnnfNode::And { .. }))
+    }
+
+    fn count_reachable(&self, pred: impl Fn(&DdnnfNode) -> bool) -> usize {
         let seen = self.reachable();
         self.nodes
             .iter()
-            .enumerate()
-            .filter(|(i, n)| seen[*i] && matches!(n, DdnnfNode::And { .. }))
+            .zip(seen)
+            .filter(|(n, s)| *s && pred(n))
             .count()
     }
 
-    /// Evaluates the circuit on an assignment.
-    pub fn eval(&self, assignment: &dyn Fn(u32) -> bool) -> bool {
-        fn go(d: &DecisionDnnf, i: u32, a: &dyn Fn(u32) -> bool) -> bool {
-            match &d.nodes[i as usize] {
-                DdnnfNode::True => true,
-                DdnnfNode::False => false,
-                DdnnfNode::Decision { var, hi, lo } => {
-                    if a(*var) {
-                        go(d, *hi, a)
-                    } else {
-                        go(d, *lo, a)
-                    }
-                }
-                DdnnfNode::And { children } => children.iter().all(|&c| go(d, c, a)),
-            }
-        }
-        go(self, self.root, assignment)
-    }
-
-    /// Weighted model count (probability) in one memoized pass.
+    /// Weighted model count (probability) in one memoized recursive pass:
+    /// the **reference walk**, the bit-identity oracle every lowering is
+    /// pinned against (see [`DecisionDnnf::flatten`]). No engine path calls
+    /// it.
     pub fn probability(&self, probs: &[f64]) -> f64 {
-        let mut memo: HashMap<u32, f64> = HashMap::new();
-        self.prob_rec(self.root, probs, &mut memo)
-    }
-
-    fn prob_rec(&self, i: u32, probs: &[f64], memo: &mut HashMap<u32, f64>) -> f64 {
-        if let Some(&p) = memo.get(&i) {
-            return p;
-        }
-        let p = match &self.nodes[i as usize] {
-            DdnnfNode::True => 1.0,
-            DdnnfNode::False => 0.0,
-            DdnnfNode::Decision { var, hi, lo } => {
-                let pv = probs[*var as usize];
-                pv * self.prob_rec(*hi, probs, memo) + (1.0 - pv) * self.prob_rec(*lo, probs, memo)
+        fn go(d: &DecisionDnnf, i: u32, probs: &[f64], memo: &mut HashMap<u32, f64>) -> f64 {
+            if let Some(&p) = memo.get(&i) {
+                return p;
             }
-            DdnnfNode::And { children } => children
-                .iter()
-                .map(|&c| self.prob_rec(c, probs, memo))
-                .product(),
-        };
-        memo.insert(i, p);
-        p
+            let p = match &d.nodes[i as usize] {
+                DdnnfNode::True => 1.0,
+                DdnnfNode::False => 0.0,
+                DdnnfNode::Decision { var, hi, lo } => {
+                    let pv = probs[*var as usize];
+                    pv * go(d, *hi, probs, memo) + (1.0 - pv) * go(d, *lo, probs, memo)
+                }
+                DdnnfNode::And { children } => {
+                    children.iter().map(|&c| go(d, c, probs, memo)).product()
+                }
+            };
+            memo.insert(i, p);
+            p
+        }
+        go(self, self.root, probs, &mut HashMap::new())
     }
 
     /// The variables below each node (memoized); used to validate the
@@ -230,39 +210,51 @@ impl DecisionDnnf {
         Ok(())
     }
 
-    /// Lowers the circuit into a flat kernel program: reachable nodes in
-    /// topological (post-DFS) order, evaluated by `pdb-kernel`'s
-    /// non-recursive loop. Each node performs the same arithmetic as
-    /// [`DecisionDnnf::probability`] — `p·hi + (1−p)·lo` for decisions, a
-    /// left-to-right product for ∧ — and both compute every node exactly
-    /// once, so `flatten().eval(probs)` is **bit-identical** to
-    /// `probability(probs)`.
+    /// Lowers the circuit into a flat kernel program — the one lowering of
+    /// decision circuits: OBDDs come here through
+    /// [`Obdd::to_decision_dnnf`](crate::Obdd::to_decision_dnnf), FBDDs and
+    /// view circuits directly. Reachable nodes are emitted in DFS
+    /// post-order, so a node's flat index is its topological rank. Each
+    /// node performs the arithmetic of [`DecisionDnnf::probability`] —
+    /// `p·hi + (1−p)·lo` for decisions, a left-to-right product for ∧ — and
+    /// both compute every node exactly once, so `flatten().eval(probs)` is
+    /// **bit-identical** to `probability(probs)`.
+    ///
+    /// Accesses are checked, so this never panics: a malformed arena (a
+    /// dangling child) lowers to the constant ⊥ program.
     pub fn flatten(&self) -> FlatProgram {
         let mut b = FlatBuilder::new();
-        let mut map: Vec<u32> = vec![u32::MAX; self.nodes.len()];
-        // Iterative post-order DFS: children flatten before parents.
+        // Flat index of each finished node; `u32::MAX` (which the builder
+        // rejects) until then, and for out-of-bounds children.
+        let mut rank = vec![u32::MAX; self.nodes.len()];
+        let rank_of = |rank: &[u32], i: u32| rank.get(i as usize).copied().unwrap_or(u32::MAX);
         let mut stack: Vec<(u32, bool)> = vec![(self.root, false)];
         while let Some((i, expanded)) = stack.pop() {
-            if map[i as usize] != u32::MAX {
+            let Some(node) = self.nodes.get(i as usize) else {
+                continue;
+            };
+            if rank_of(&rank, i) != u32::MAX {
                 continue;
             }
             if expanded {
-                let flat = match &self.nodes[i as usize] {
+                let flat = match node {
                     DdnnfNode::True => b.push_const(true),
                     DdnnfNode::False => b.push_const(false),
                     DdnnfNode::Decision { var, hi, lo } => {
-                        b.push_decision(*var, map[*hi as usize], map[*lo as usize])
+                        b.push_decision(*var, rank_of(&rank, *hi), rank_of(&rank, *lo))
                     }
                     DdnnfNode::And { children } => {
-                        let kids: Vec<u32> = children.iter().map(|&c| map[c as usize]).collect();
+                        let kids: Vec<u32> = children.iter().map(|&c| rank_of(&rank, c)).collect();
                         b.push_mul(&kids)
                     }
                 };
-                map[i as usize] = flat;
+                if let Some(r) = rank.get_mut(i as usize) {
+                    *r = flat;
+                }
                 continue;
             }
             stack.push((i, true));
-            match &self.nodes[i as usize] {
+            match node {
                 DdnnfNode::True | DdnnfNode::False => {}
                 DdnnfNode::Decision { hi, lo, .. } => {
                     stack.push((*hi, false));
@@ -273,8 +265,7 @@ impl DecisionDnnf {
                 }
             }
         }
-        b.finish()
-            .expect("a post-order walk of a DAG flattens cleanly")
+        b.finish().unwrap_or_else(|_| FlatProgram::constant(false))
     }
 
     /// Expands into a general [`Ddnnf`].
@@ -393,55 +384,12 @@ impl Ddnnf {
         count
     }
 
-    /// Evaluates the circuit.
-    pub fn eval(&self, assignment: &dyn Fn(u32) -> bool) -> bool {
-        fn go(d: &Ddnnf, i: u32, a: &dyn Fn(u32) -> bool) -> bool {
-            match &d.nodes[i as usize] {
-                DNode::True => true,
-                DNode::False => false,
-                DNode::Lit { var, positive } => a(*var) == *positive,
-                DNode::And { children } => children.iter().all(|&c| go(d, c, a)),
-                DNode::Or { children } => children.iter().any(|&c| go(d, c, a)),
-            }
-        }
-        go(self, self.root, assignment)
-    }
-
-    /// Weighted model count: ∨ sums (children are disjoint events), ∧
-    /// multiplies (children are independent) — rules (12) and (13).
-    pub fn probability(&self, probs: &[f64]) -> f64 {
-        let mut memo: HashMap<u32, f64> = HashMap::new();
-        fn go(d: &Ddnnf, i: u32, probs: &[f64], memo: &mut HashMap<u32, f64>) -> f64 {
-            if let Some(&p) = memo.get(&i) {
-                return p;
-            }
-            let p = match &d.nodes[i as usize] {
-                DNode::True => 1.0,
-                DNode::False => 0.0,
-                DNode::Lit { var, positive } => {
-                    let pv = probs[*var as usize];
-                    if *positive {
-                        pv
-                    } else {
-                        1.0 - pv
-                    }
-                }
-                DNode::And { children } => {
-                    children.iter().map(|&c| go(d, c, probs, memo)).product()
-                }
-                DNode::Or { children } => children.iter().map(|&c| go(d, c, probs, memo)).sum(),
-            };
-            memo.insert(i, p);
-            p
-        }
-        go(self, self.root, probs, &mut memo)
-    }
-
-    /// Lowers the circuit into a flat kernel program (see
-    /// [`DecisionDnnf::flatten`]): disjoint-∨ becomes a left-to-right sum,
-    /// independent-∧ a left-to-right product, literals become (negated)
-    /// leaf reads — the exact arithmetic of [`Ddnnf::probability`], node
-    /// for node, so the flat evaluation is bit-identical to it.
+    /// Lowers the circuit into a flat kernel program: disjoint-∨ becomes a
+    /// left-to-right sum (rule (12)), independent-∧ a left-to-right product
+    /// (rule (13)), literals become (negated) leaf reads. For an expanded
+    /// decision-DNNF ([`DecisionDnnf::to_ddnnf`]) each decision becomes
+    /// `(0 + (1·p)·hi) + ((1·(1−p))·lo)`, the same f64 as `p·hi + (1−p)·lo`,
+    /// so the evaluation is bit-identical to [`DecisionDnnf::probability`].
     pub fn flatten(&self) -> FlatProgram {
         let mut b = FlatBuilder::new();
         let mut map: Vec<u32> = vec![u32::MAX; self.nodes.len()];
@@ -489,6 +437,7 @@ impl Ddnnf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::indicators;
     use pdb_data::TupleId;
     use pdb_lineage::{BoolExpr, Cnf};
     use pdb_num::assert_close;
@@ -523,10 +472,14 @@ mod tests {
         let (trace, p) = trace_of(&f, 4, true);
         let dd = DecisionDnnf::from_trace(&trace);
         dd.validate().unwrap();
-        for mask in 0u32..16 {
-            let a = |var: u32| mask >> var & 1 == 1;
+        let flat = dd.flatten();
+        for mask in 0u64..16 {
             // The trace computes ¬f.
-            assert_eq!(dd.eval(&a), !f.eval(&|t| a(t.0)));
+            let expected = !f.eval(&|t| mask >> t.0 & 1 == 1);
+            assert_eq!(
+                flat.eval(&indicators(mask, 4)),
+                f64::from(u8::from(expected))
+            );
         }
         assert_close(dd.probability(&[0.5; 4]), p, 1e-12);
     }
@@ -578,11 +531,14 @@ mod tests {
         let (trace, _) = trace_of(&f, 4, true);
         let dd = DecisionDnnf::from_trace(&trace);
         let circuit = dd.to_ddnnf();
-        let probs = [0.1, 0.9, 0.4, 0.6];
-        assert_close(circuit.probability(&probs), dd.probability(&probs), 1e-12);
-        for mask in 0u32..16 {
-            let a = |var: u32| mask >> var & 1 == 1;
-            assert_eq!(circuit.eval(&a), dd.eval(&a), "mask={mask}");
+        let flat = circuit.flatten();
+        let probs = (0..16).map(|mask| indicators(mask, 4));
+        for p in probs.chain([vec![0.1, 0.9, 0.4, 0.6]]) {
+            assert_eq!(
+                flat.eval(&p).to_bits(),
+                dd.probability(&p).to_bits(),
+                "{p:?}"
+            );
         }
         // Expansion adds Or/Lit nodes.
         assert!(circuit.size() >= dd.size());
@@ -611,7 +567,7 @@ mod tests {
             );
             assert_eq!(
                 flat_circuit.eval(&probs).to_bits(),
-                circuit.probability(&probs).to_bits()
+                dd.probability(&probs).to_bits()
             );
         }
         // Batched evaluation over three stacked vectors matches too.
@@ -670,5 +626,22 @@ mod tests {
         ];
         let dd = DecisionDnnf::new(nodes, 3);
         assert!(dd.validate().is_err());
+    }
+
+    #[test]
+    fn flatten_lowers_a_dangling_child_to_false() {
+        // Node 2 decides x0 with hi pointing past the arena.
+        let nodes = vec![
+            DdnnfNode::True,
+            DdnnfNode::False,
+            DdnnfNode::Decision {
+                var: 0,
+                hi: 9,
+                lo: 1,
+            },
+        ];
+        let flat = DecisionDnnf::new(nodes, 2).flatten();
+        assert_eq!(flat.len(), 1);
+        assert_eq!(flat.eval(&[1.0]).to_bits(), 0.0f64.to_bits());
     }
 }

@@ -20,29 +20,18 @@ impl Fbdd {
     /// ∧-nodes (run the counter with `components: false`) or violates the
     /// read-once property.
     pub fn from_trace(trace: &Trace) -> Result<Fbdd, String> {
-        let inner = DecisionDnnf::from_trace(trace);
-        let has_and = inner
-            .nodes()
-            .iter()
-            .any(|n| matches!(n, DdnnfNode::And { .. }));
-        if has_and {
-            return Err("trace contains ∧-nodes; not an FBDD".to_string());
-        }
-        inner.validate()?;
-        Ok(Fbdd { inner })
+        let dd = DecisionDnnf::from_trace(trace);
+        Fbdd::from_nodes(dd.nodes().to_vec(), dd.root())
     }
 
-    /// Hand-builds an FBDD from raw decision nodes (used by the Fig. 2
-    /// reconstruction). Node 0 must be `True`, node 1 `False`.
+    /// Builds an FBDD from raw decision nodes (the Fig. 2 reconstruction,
+    /// an OBDD's [`Obdd::to_decision_dnnf`](crate::Obdd::to_decision_dnnf)
+    /// arena); fails on ∧-nodes or a path reading a variable twice.
     pub fn from_nodes(nodes: Vec<DdnnfNode>, root: u32) -> Result<Fbdd, String> {
-        let inner = DecisionDnnf::new(nodes, root);
-        if inner
-            .nodes()
-            .iter()
-            .any(|n| matches!(n, DdnnfNode::And { .. }))
-        {
+        if nodes.iter().any(|n| matches!(n, DdnnfNode::And { .. })) {
             return Err("FBDDs cannot contain ∧-nodes".to_string());
         }
+        let inner = DecisionDnnf::new(nodes, root);
         inner.validate()?;
         Ok(Fbdd { inner })
     }
@@ -57,18 +46,8 @@ impl Fbdd {
         self.inner.decision_count()
     }
 
-    /// Evaluates on an assignment.
-    pub fn eval(&self, assignment: &dyn Fn(u32) -> bool) -> bool {
-        self.inner.eval(assignment)
-    }
-
-    /// Weighted model count.
-    pub fn probability(&self, probs: &[f64]) -> f64 {
-        self.inner.probability(probs)
-    }
-
-    /// Lowers the FBDD into a flat kernel program; bit-identical to
-    /// [`Fbdd::probability`] (see [`DecisionDnnf::flatten`]).
+    /// Lowers the FBDD — a decision-DNNF without ∧-nodes — into a flat
+    /// kernel program with [`DecisionDnnf::flatten`].
     pub fn flatten(&self) -> pdb_kernel::FlatProgram {
         self.inner.flatten()
     }
@@ -130,6 +109,7 @@ impl Fbdd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::indicators;
     use pdb_data::TupleId;
     use pdb_lineage::{BoolExpr, Cnf};
     use pdb_num::assert_close;
@@ -160,10 +140,13 @@ mod tests {
             BoolExpr::and_all([v(0), v(1)]),
             BoolExpr::and_all([v(2), v(3)]),
         ]);
-        let fbdd = fbdd_of(&f, 4);
-        for mask in 0u32..16 {
-            let a = |var: u32| mask >> var & 1 == 1;
-            assert_eq!(fbdd.eval(&a), !f.eval(&|t| a(t.0)));
+        let flat = fbdd_of(&f, 4).flatten();
+        for mask in 0u64..16 {
+            let expected = !f.eval(&|t| mask >> t.0 & 1 == 1);
+            assert_eq!(
+                flat.eval(&indicators(mask, 4)),
+                f64::from(u8::from(expected))
+            );
         }
     }
 
@@ -207,7 +190,7 @@ mod tests {
         .run();
         let fbdd = Fbdd::from_trace(&result.trace.unwrap()).unwrap();
         let expected = 1.0 - brute::expr_probability(&f, &probs);
-        assert_close(fbdd.probability(&probs), expected, 1e-12);
+        assert_close(fbdd.flatten().eval(&probs), expected, 1e-12);
     }
 
     #[test]
@@ -221,7 +204,7 @@ mod tests {
         for probs in [vec![0.5; 3], vec![0.3, 0.5, 0.7]] {
             assert_eq!(
                 flat.eval(&probs).to_bits(),
-                fbdd.probability(&probs).to_bits()
+                fbdd.as_decision_dnnf().probability(&probs).to_bits()
             );
         }
     }
@@ -284,9 +267,13 @@ mod tests {
         let fbdd = Fbdd::from_nodes(nodes, 6).unwrap();
         assert!(!fbdd.is_ordered());
         // Still computes x1 & x2 regardless of branch order.
-        for mask in 0u32..8 {
-            let a = |var: u32| mask >> var & 1 == 1;
-            assert_eq!(fbdd.eval(&a), a(1) && a(2), "mask={mask}");
+        let flat = fbdd.flatten();
+        for mask in 0u64..8 {
+            let expected = mask & 0b110 == 0b110;
+            assert_eq!(
+                flat.eval(&indicators(mask, 3)),
+                f64::from(u8::from(expected))
+            );
         }
     }
 }

@@ -111,15 +111,16 @@ pub fn fig2b_decision_dnnf() -> DecisionDnnf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::indicators;
     use pdb_num::assert_close;
 
     #[test]
     fn fig2a_computes_its_formula() {
-        let fbdd = fig2a_fbdd();
-        for mask in 0u32..8 {
+        let flat = fig2a_fbdd().flatten();
+        for mask in 0u64..8 {
             let (x, y, z) = (mask & 1 == 1, mask >> 1 & 1 == 1, mask >> 2 & 1 == 1);
-            let a = |var: u32| mask >> var & 1 == 1;
-            assert_eq!(fbdd.eval(&a), fig2a_function(x, y, z), "mask={mask}");
+            let expected = f64::from(u8::from(fig2a_function(x, y, z)));
+            assert_eq!(flat.eval(&indicators(mask, 3)), expected, "mask={mask}");
         }
     }
 
@@ -142,15 +143,16 @@ mod tests {
         let dd = fig2b_decision_dnnf();
         dd.validate()
             .expect("Fig. 2(b) satisfies d-DNNF invariants");
-        for mask in 0u32..16 {
+        let flat = dd.flatten();
+        for mask in 0u64..16 {
             let (x, y, z, u) = (
                 mask & 1 == 1,
                 mask >> 1 & 1 == 1,
                 mask >> 2 & 1 == 1,
                 mask >> 3 & 1 == 1,
             );
-            let a = |var: u32| mask >> var & 1 == 1;
-            assert_eq!(dd.eval(&a), fig2b_function(x, y, z, u), "mask={mask}");
+            let expected = f64::from(u8::from(fig2b_function(x, y, z, u)));
+            assert_eq!(flat.eval(&indicators(mask, 4)), expected, "mask={mask}");
         }
     }
 
@@ -188,7 +190,7 @@ mod tests {
             .filter(|mask| fig2a_function(mask & 1 == 1, mask >> 1 & 1 == 1, mask >> 2 & 1 == 1))
             .count();
         assert_close(
-            fbdd.probability(&[0.5, 0.5, 0.5]),
+            fbdd.flatten().eval(&[0.5, 0.5, 0.5]),
             models as f64 / 8.0,
             1e-12,
         );

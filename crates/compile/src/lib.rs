@@ -17,11 +17,14 @@
 //! * [`order`] — variable-order heuristics, including the hierarchical
 //!   grouping that yields the linear-size OBDDs of Theorem 7.1(i-a).
 //!
-//! Every circuit type also exposes `flatten()`, lowering it into a
-//! `pdb-kernel` [`FlatProgram`](pdb_kernel::FlatProgram) — a contiguous,
+//! Circuits are evaluated only through `flatten()`, which lowers them into
+//! a `pdb-kernel` [`FlatProgram`](pdb_kernel::FlatProgram) — a contiguous,
 //! topologically-ordered array program evaluated by a non-recursive loop
-//! (optionally over many probability vectors at once) with bit-identical
-//! results to the tree walks here.
+//! (optionally over many probability vectors at once). Decision circuits
+//! share one lowering, [`DecisionDnnf::flatten`]: an OBDD becomes a
+//! decision-DNNF ([`Obdd::to_decision_dnnf`]) and an FBDD already is one.
+//! [`DecisionDnnf::probability`] is the one tree walk left, the reference
+//! every lowering is pinned against bit for bit.
 
 pub mod ddnnf;
 pub mod fbdd;
@@ -32,3 +35,12 @@ pub mod order;
 pub use ddnnf::{Ddnnf, DecisionDnnf};
 pub use fbdd::Fbdd;
 pub use obdd::Obdd;
+
+/// The 0/1 indicator probability vector of the assignment `mask` over
+/// variables `0..n`, `n ≤ 64` (`x_v` is true iff bit `v` is set). A flat
+/// program evaluated at it returns exactly `1.0` or `0.0` — the circuit's
+/// Boolean value on that assignment — since every node then combines 0s
+/// and 1s.
+pub fn indicators(mask: u64, n: u32) -> Vec<f64> {
+    (0..n).map(|v| (mask >> v & 1) as f64).collect()
+}

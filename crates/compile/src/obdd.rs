@@ -6,7 +6,8 @@
 //! hierarchical self-join-free CQs have linear-size OBDDs under the right
 //! order; non-hierarchical ones are exponential under *every* order.
 
-use pdb_kernel::{FlatBuilder, FlatProgram};
+use crate::ddnnf::{DdnnfNode, DecisionDnnf};
+use pdb_kernel::FlatProgram;
 use pdb_lineage::BoolExpr;
 use std::collections::HashMap;
 
@@ -220,87 +221,53 @@ impl Obdd {
         count
     }
 
-    /// Evaluates the OBDD on an assignment.
-    pub fn eval(&self, assignment: &dyn Fn(u32) -> bool) -> bool {
-        let mut r = self.root;
-        while r > TRUE {
-            let n = self.nodes[r as usize];
-            let var = self.order[n.level as usize];
-            r = if assignment(var) { n.hi } else { n.lo };
-        }
-        r == TRUE
+    /// The OBDD as a decision-DNNF over the same arena: indices are kept
+    /// (0 becomes ⊥, 1 becomes ⊤) and each internal node becomes
+    /// `Decision { var: order[level], hi, lo }` — the inclusion OBDD ⊂ FBDD
+    /// ⊂ decision-DNNF of §7, made concrete.
+    pub fn to_decision_dnnf(&self) -> DecisionDnnf {
+        let nodes = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(r, n)| match r as Ref {
+                FALSE => DdnnfNode::False,
+                TRUE => DdnnfNode::True,
+                _ => DdnnfNode::Decision {
+                    var: self.order[n.level as usize],
+                    hi: n.hi,
+                    lo: n.lo,
+                },
+            })
+            .collect();
+        DecisionDnnf::new(nodes, self.root)
     }
 
-    /// Weighted model count in one bottom-up pass: `probs[var]` is the
-    /// probability of that variable. Elided levels contribute a factor of 1
-    /// in probability semantics, so no skip-correction is needed.
-    pub fn probability(&self, probs: &[f64]) -> f64 {
-        let mut memo: HashMap<Ref, f64> = HashMap::new();
-        self.prob_rec(self.root, probs, &mut memo)
-    }
-
-    fn prob_rec(&self, r: Ref, probs: &[f64], memo: &mut HashMap<Ref, f64>) -> f64 {
-        match r {
-            FALSE => return 0.0,
-            TRUE => return 1.0,
-            _ => {}
-        }
-        if let Some(&p) = memo.get(&r) {
-            return p;
-        }
-        let n = self.nodes[r as usize];
-        let var = self.order[n.level as usize];
-        let pv = probs[var as usize];
-        let p =
-            pv * self.prob_rec(n.hi, probs, memo) + (1.0 - pv) * self.prob_rec(n.lo, probs, memo);
-        memo.insert(r, p);
-        p
-    }
-
-    /// Lowers the reachable part of the OBDD into a flat kernel program:
-    /// terminals become constants, each internal node a decision on
-    /// `order[level]` computing `p·hi + (1−p)·lo` — the exact arithmetic of
-    /// [`Obdd::probability`], node for node (elided levels contribute a
-    /// factor of 1 in both), so the flat evaluation is bit-identical to it.
+    /// Lowers the reachable part of the OBDD into a flat kernel program
+    /// through [`DecisionDnnf::flatten`]. Elided levels contribute a factor
+    /// of 1 in probability semantics, so no skip-correction is needed.
     pub fn flatten(&self) -> FlatProgram {
-        let mut b = FlatBuilder::new();
-        let mut map: Vec<u32> = vec![u32::MAX; self.nodes.len()];
-        let mut stack: Vec<(Ref, bool)> = vec![(self.root, false)];
-        while let Some((r, expanded)) = stack.pop() {
-            if map[r as usize] != u32::MAX {
-                continue;
-            }
-            if r <= TRUE {
-                map[r as usize] = b.push_const(r == TRUE);
-                continue;
-            }
-            let n = self.nodes[r as usize];
-            if expanded {
-                let var = self.order[n.level as usize];
-                map[r as usize] = b.push_decision(var, map[n.hi as usize], map[n.lo as usize]);
-                continue;
-            }
-            stack.push((r, true));
-            stack.push((n.hi, false));
-            stack.push((n.lo, false));
-        }
-        b.finish()
-            .expect("a post-order walk of a reduced OBDD flattens cleanly")
+        self.to_decision_dnnf().flatten()
     }
 
     /// Unweighted model count over `num_vars` variables.
     pub fn model_count(&self, num_vars: u32) -> f64 {
         let probs = vec![0.5; self.order.len().max(num_vars as usize)];
-        self.probability(&probs) * 2f64.powi(num_vars as i32)
+        self.flatten().eval(&probs) * 2f64.powi(num_vars as i32)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdb_data::TupleId;
+    use crate::{indicators, order, Fbdd};
+    use pdb_data::{generators, TupleId};
+    use pdb_lineage::ucq_dnf_lineage;
+    use pdb_logic::parse_ucq;
     use pdb_num::assert_close;
     use pdb_wmc::brute;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn v(i: u32) -> BoolExpr {
         BoolExpr::var(TupleId(i))
@@ -314,13 +281,13 @@ mod tests {
     fn terminals_and_single_vars() {
         let t = Obdd::compile(&BoolExpr::TRUE, &[]);
         assert_eq!(t.size(), 0);
-        assert!(t.eval(&|_| false));
+        assert_eq!(t.flatten().eval(&[]), 1.0);
         let x = Obdd::compile(&v(0), &ident_order(1));
         assert_eq!(x.size(), 1);
-        assert!(x.eval(&|_| true));
-        assert!(!x.eval(&|_| false));
+        assert_eq!(x.flatten().eval(&indicators(1, 1)), 1.0);
+        assert_eq!(x.flatten().eval(&indicators(0, 1)), 0.0);
         let nx = Obdd::compile(&v(0).negate(), &ident_order(1));
-        assert!(nx.eval(&|_| false));
+        assert_eq!(nx.flatten().eval(&indicators(0, 1)), 1.0);
     }
 
     #[test]
@@ -338,10 +305,11 @@ mod tests {
             BoolExpr::and_all([v(1), v(2)]),
             v(3).negate(),
         ]);
-        let obdd = Obdd::compile(&f, &ident_order(4));
-        for mask in 0u32..16 {
-            let a = |var: u32| mask >> var & 1 == 1;
-            assert_eq!(obdd.eval(&a), f.eval(&|t| a(t.0)), "mask={mask}");
+        let flat = Obdd::compile(&f, &ident_order(4)).flatten();
+        for mask in 0u64..16 {
+            let expected = f.eval(&|t| mask >> t.0 & 1 == 1);
+            let value = flat.eval(&indicators(mask, 4));
+            assert_eq!(value, f64::from(u8::from(expected)), "mask={mask}");
         }
     }
 
@@ -354,7 +322,7 @@ mod tests {
         let probs = [0.2, 0.7, 0.4, 0.9];
         let obdd = Obdd::compile(&f, &ident_order(4));
         assert_close(
-            obdd.probability(&probs),
+            obdd.flatten().eval(&probs),
             brute::expr_probability(&f, &probs),
             1e-12,
         );
@@ -386,9 +354,10 @@ mod tests {
             bad.size()
         );
         // Both still compute f.
-        for mask in 0u32..64 {
-            let a = |var: u32| mask >> var & 1 == 1;
-            assert_eq!(good.eval(&a), bad.eval(&a));
+        let (good, bad) = (good.flatten(), bad.flatten());
+        for mask in 0u64..64 {
+            let a = indicators(mask, 6);
+            assert_eq!(good.eval(&a), bad.eval(&a), "mask={mask}");
         }
     }
 
@@ -401,10 +370,11 @@ mod tests {
         ]);
         let obdd = Obdd::compile(&f, &ident_order(4));
         let flat = obdd.flatten();
+        let dd = obdd.to_decision_dnnf();
         for probs in [vec![0.5; 4], vec![0.2, 0.7, 0.4, 0.9]] {
             assert_eq!(
                 flat.eval(&probs).to_bits(),
-                obdd.probability(&probs).to_bits()
+                dd.probability(&probs).to_bits()
             );
         }
         // Terminal-rooted OBDDs flatten to constants.
@@ -417,9 +387,33 @@ mod tests {
     #[test]
     fn eval_ignores_unmentioned_vars() {
         let f = v(2);
-        let obdd = Obdd::compile(&f, &ident_order(5));
-        assert!(obdd.eval(&|var| var == 2));
-        assert_close(obdd.probability(&[0.9, 0.9, 0.3, 0.9, 0.9]), 0.3, 1e-12);
+        let flat = Obdd::compile(&f, &ident_order(5)).flatten();
+        assert_eq!(flat.eval(&indicators(0b00100, 5)), 1.0);
+        assert_close(flat.eval(&[0.9, 0.9, 0.3, 0.9, 0.9]), 0.3, 1e-12);
+    }
+
+    /// §7's inclusion OBDD ⊂ FBDD, checked on the Theorem 7.1(i)
+    /// hierarchical lineages: the OBDD's decision-DNNF arena is accepted as
+    /// an FBDD, is ordered, and evaluates bit for bit like the OBDD.
+    #[test]
+    fn hierarchical_obdds_are_ordered_fbdds() {
+        for n in [2u64, 4, 6, 8] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let db = generators::star(n, 1, 2, 0.5, &mut rng);
+            let idx = db.index();
+            let probs: Vec<f64> = idx.iter().map(|(_, r)| r.prob).collect();
+            let lin = ucq_dnf_lineage(&parse_ucq("R(x), S1(x,y)").unwrap(), &db, &idx).to_expr();
+            let obdd = Obdd::compile(&lin, &order::hierarchical_order(&idx));
+            let dd = obdd.to_decision_dnnf();
+            let fbdd =
+                Fbdd::from_nodes(dd.nodes().to_vec(), dd.root()).expect("an OBDD is an FBDD");
+            assert!(fbdd.is_ordered(), "n={n}");
+            assert_eq!(
+                fbdd.flatten().eval(&probs).to_bits(),
+                obdd.flatten().eval(&probs).to_bits(),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -92,8 +92,9 @@ mod tests {
             bad.size()
         );
         // Both compute the same function on a few spot checks.
+        let (good, bad) = (good.flatten(), bad.flatten());
         for mask in [0u64, 3, 7, 13, (1 << idx.len()) - 1] {
-            let a = |v: u32| mask >> v & 1 == 1;
+            let a = crate::indicators(mask, idx.len() as u32);
             assert_eq!(good.eval(&a), bad.eval(&a));
         }
     }

@@ -1,7 +1,7 @@
 //! # pdb-datalog — probabilistic datalog over tuple-independent databases
 //!
-//! The paper's §2 lists datalog programs (ProbLog [51], declarative
-//! probabilistic datalog [6]) among the query languages for `PQE`, and §9
+//! The paper's §2 lists datalog programs (ProbLog \[51\], declarative
+//! probabilistic datalog \[6\]) among the query languages for `PQE`, and §9
 //! covers recursive queries. This crate implements the ProbLog-style
 //! semantics over a TID of extensional facts:
 //!

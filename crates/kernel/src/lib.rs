@@ -4,11 +4,11 @@
 //! evaluation of a compiled artifact: a decision-DNNF / OBDD / FBDD circuit
 //! (§7 — the DPLL trace *is* the circuit, per Huang–Darwiche), a monotone
 //! DNF (Karp–Luby sampling), or a raw boolean lineage (Monte-Carlo
-//! sampling). The tree walks in `pdb-compile` and `pdb-views` are
-//! pointer-chasing, enum-matching, per-call-allocating recursions; this
-//! crate lowers those artifacts **once** into contiguous,
-//! topologically-ordered structure-of-arrays programs evaluated by tight,
-//! non-recursive loops:
+//! sampling). A memoized recursion over a node arena is pointer-chasing,
+//! enum-matching and allocates per call; this crate lowers those artifacts
+//! **once** into contiguous, topologically-ordered structure-of-arrays
+//! programs evaluated by tight, non-recursive loops — the only evaluator
+//! compiled circuits have:
 //!
 //! * [`FlatProgram`] — an arithmetic circuit as an op-tag array plus
 //!   child-span index arrays and a leaf→tuple table, with a scalar
@@ -22,19 +22,19 @@
 //!   term),
 //! * [`FlatBool`] — an arbitrary boolean expression as a flat program over
 //!   `bool` (the Monte-Carlo inner loop),
-//! * [`stats`] — process-global counters (programs flattened, evaluations,
+//! * [`stats`](mod@stats) — process-global counters (programs flattened, evaluations,
 //!   batched evaluations, bytes touched per evaluation, flat program sizes)
 //!   surfaced by the server's `stats` and `metrics` commands.
 //!
 //! ## The floating-point order guarantee
 //!
-//! Flat evaluation is **bit-identical** to the recursive tree walk it
-//! replaces, at every batch size. Each node's value is a pure function of
-//! its children's values combined in the *same left-to-right order* as the
-//! memoized recursion (`pv·hi + (1−pv)·lo` for decisions, a left fold for
-//! ∧-products and ∨-sums), and a topological one-pass schedule computes
-//! every node exactly once from already-final children — exactly what the
-//! memoized recursion does. Batched lanes run the identical per-node
+//! Flat evaluation is **bit-identical** to the reference walk
+//! `pdb_compile::DecisionDnnf::probability`, at every batch size. Each
+//! node's value is a pure function of its children's values combined in
+//! the *same left-to-right order* as the memoized recursion (`pv·hi +
+//! (1−pv)·lo` for decisions, a left fold for ∧-products and ∨-sums), and a
+//! topological one-pass schedule computes every node exactly once from
+//! already-final children — exactly what the memoized recursion does. Batched lanes run the identical per-node
 //! arithmetic per lane, so lane `b` of a batch equals the scalar
 //! evaluation under probability vector `b` bit-for-bit. See
 //! `docs/kernels.md`.

@@ -16,9 +16,9 @@
 //! Evaluation is a single forward pass pushing one `f64` per node — no
 //! recursion, no hashing, no per-node allocation, and a branch predictor
 //! friendly tag dispatch. The floating-point combination order inside each
-//! node is identical to the memoized tree walks in `pdb-compile` /
-//! `pdb-views`, which makes flat results bit-identical to the tree results
-//! (see the crate docs for the argument).
+//! node is identical to the memoized reference walk in `pdb-compile`
+//! (`DecisionDnnf::probability`), which makes flat results bit-identical to
+//! it (see the crate docs for the argument).
 
 use crate::stats;
 

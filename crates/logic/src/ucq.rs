@@ -171,7 +171,7 @@ impl Ucq {
         }
     }
 
-    /// The *inversion-free* test (Theorem 7.1 / [46]): a UCQ is inversion-
+    /// The *inversion-free* test (Theorem 7.1 / \[46\]): a UCQ is inversion-
     /// free iff it has a UCQ-separator and, recursively, so does every query
     /// obtained by substituting the separator. We approximate with the
     /// standard syntactic test: every unification path between atoms keeps

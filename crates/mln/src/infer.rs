@@ -5,7 +5,7 @@
 //!   exponential, used as ground truth),
 //! * [`conditional_grounded`] — grounded inference: build the lineages of
 //!   `Q ∧ Γ` and `Γ` and run the DPLL weighted model counter on each. This
-//!   is the architecture of SlimShot [37] with the safe-plan fast path
+//!   is the architecture of SlimShot \[37\] with the safe-plan fast path
 //!   replaced by exact counting.
 //!
 //! Note the non-standard-probability subtlety: with auxiliary probabilities

@@ -7,7 +7,7 @@
 //!
 //! * [`model::Mln`] — soft constraints `(w, Δ)`, grounding, exact world
 //!   weights, the partition function `Z`, and `p_MLN(Q)` by enumeration,
-//! * [`translate`] — the MLN → TID + constraint encoding: each soft
+//! * [`translate`](mod@translate) — the MLN → TID + constraint encoding: each soft
 //!   constraint `(w, Δ)` becomes a fresh relation `R` with tuple probability
 //!   `1/w` and the clause `Γ = ∀x⃗ (R(x⃗) ∨ Δ)`; then
 //!   `p_MLN(Q) = p_D(Q | Γ)`.

@@ -1029,7 +1029,7 @@ impl Service {
 }
 
 /// The replication client applies its stream straight into the service:
-/// a replica's state walks [`Service::apply_mutation`], the function the
+/// a replica's state walks `Service::apply_mutation`, the function the
 /// primary's own commits ran — the basis of the bit-identity guarantee. A
 /// refusal means the primary applied an op this replica cannot: divergence,
 /// which the client answers with a full re-bootstrap.

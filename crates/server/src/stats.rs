@@ -2,7 +2,7 @@
 //! behind them.
 //!
 //! This is the only module that names metric families. Each quantity is
-//! counted once, where the work happens, and [`Sources`] renders both
+//! counted once, where the work happens, and `Sources` renders both
 //! payloads by reading those counters at scrape time — nothing is copied
 //! into a registry or mirrored between scrapes.
 //!
@@ -11,7 +11,7 @@
 //!   served [`ViewManager`]'s counters, the replica role's
 //!   [`ReplicaStatus`] and the primary's [`ReplicaHub`], whose head LSN is
 //!   `pdb_store_next_lsn`.
-//! - **Process-global**: the kernel counters ([`pdb_kernel::stats`],
+//! - **Process-global**: the kernel counters ([`pdb_kernel::stats`](fn@pdb_kernel::stats),
 //!   [`pdb_kernel::program_bytes`]), the current pool's
 //!   [`pdb_par::PoolStats`], the store's WAL, fsync and checkpoint statics
 //!   ([`pdb_store::metrics`]) and the view refresh histogram

@@ -11,7 +11,7 @@
 //! * [`wfomc`] — the general FO² algorithm behind Theorem 8.1: a
 //!   1-type/2-table *cell decomposition* for `∀x∀y ψ` sentences, with
 //!   `∀x∃y ψ` handled by Skolemization with **negative weights**
-//!   (Van den Broeck–Meert–Darwiche, the paper's [24]): a fresh unary
+//!   (Van den Broeck–Meert–Darwiche, the paper's \[24\]): a fresh unary
 //!   predicate with weight pair `(1, −1)` cancels exactly the worlds that
 //!   violate the existential,
 //! * log-space arithmetic (`pdb_num::LogNum`) throughout, so `n` in the

@@ -2,7 +2,7 @@
 //!
 //! Input: a conjunction of clauses, each either `∀x∀y ψ(x,y)` or
 //! `∀x∃y ψ(x,y)` with `ψ` quantifier-free over unary and binary predicates.
-//! Existentials are removed by **Skolemization with negative weights** [24]:
+//! Existentials are removed by **Skolemization with negative weights** \[24\]:
 //! `∀x∃y ψ` becomes `∀x∀y (¬ψ ∨ A(x))` for a fresh unary `A` with weight
 //! pair `(1, −1)` — worlds where the existential fails get matching `+1/−1`
 //! contributions and cancel.

@@ -1,11 +1,11 @@
 //! An arithmetic circuit over a decision-DNNF with **cached gate values**.
 //!
-//! [`pdb_compile::DecisionDnnf::probability`] is a full bottom-up pass —
-//! the right tool for a one-shot WMC, wasteful when the same circuit is
-//! re-evaluated after every tuple-probability change. This module lowers
-//! the circuit into a `pdb-kernel` [`FlatProgram`] at construction — gate
-//! index = topological rank, evaluation a non-recursive forward pass — and
-//! keeps the per-gate values of the last evaluation. On [`set_prob`] it
+//! A flat evaluation is a full forward pass — the right tool for a one-shot
+//! WMC, wasteful when the same circuit is re-evaluated after every
+//! tuple-probability change. This module lowers the circuit once at
+//! construction through [`DecisionDnnf::flatten`] — gate index =
+//! topological rank, evaluation a non-recursive forward pass — and keeps
+//! the per-gate values of the last evaluation. On [`set_prob`] it
 //! re-evaluates only the **dirty cone**: the decision gates on the changed
 //! variable and, transitively, any parent whose value actually moved. For
 //! the balanced circuits produced by DPLL with components (§7, eqs.
@@ -19,7 +19,7 @@
 
 use pdb_compile::ddnnf::DdnnfNode;
 use pdb_compile::DecisionDnnf;
-use pdb_kernel::{FlatBuilder, FlatProgram};
+use pdb_kernel::FlatProgram;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -70,65 +70,10 @@ impl IncrementalCircuit {
         negated: bool,
         scale: f64,
     ) -> IncrementalCircuit {
-        let nodes: Vec<DdnnfNode> = dd.nodes().to_vec();
-        let root = dd.root();
-        let n = nodes.len();
-
-        // Iterative DFS post-order over the reachable sub-DAG, lowering
-        // each gate into the flat program as it finishes: children always
-        // receive a smaller flat index than their parents, so the flat
-        // index *is* the topological rank.
-        // All accesses below are checked (`get`/`get_mut`): this crate is on
-        // the P1 no-panic surface, so a malformed arena (dangling child, root
-        // out of bounds) degrades — a missing rank becomes `u32::MAX`, which
-        // the builder rejects at `finish`, which degrades to constant ⊥ —
-        // instead of panicking the request worker.
-        let mut b = FlatBuilder::new();
-        let mut rank = vec![u32::MAX; n];
-        let mut stack: Vec<(u32, bool)> = vec![(root, false)];
-        while let Some((i, expanded)) = stack.pop() {
-            let slot = i as usize;
-            if rank.get(slot).is_some_and(|&r| r != u32::MAX) {
-                continue;
-            }
-            let Some(node) = nodes.get(slot) else {
-                continue;
-            };
-            if expanded {
-                let flat = match node {
-                    DdnnfNode::True => b.push_const(true),
-                    DdnnfNode::False => b.push_const(false),
-                    DdnnfNode::Decision { var, hi, lo } => {
-                        let hi_rank = rank.get(*hi as usize).copied().unwrap_or(u32::MAX);
-                        let lo_rank = rank.get(*lo as usize).copied().unwrap_or(u32::MAX);
-                        b.push_decision(*var, hi_rank, lo_rank)
-                    }
-                    DdnnfNode::And { children } => {
-                        let kids: Vec<u32> = children
-                            .iter()
-                            .map(|&c| rank.get(c as usize).copied().unwrap_or(u32::MAX))
-                            .collect();
-                        b.push_mul(&kids)
-                    }
-                };
-                if let Some(r) = rank.get_mut(slot) {
-                    *r = flat;
-                }
-                continue;
-            }
-            stack.push((i, true));
-            match node {
-                DdnnfNode::True | DdnnfNode::False => {}
-                DdnnfNode::Decision { hi, lo, .. } => {
-                    stack.push((*hi, false));
-                    stack.push((*lo, false));
-                }
-                DdnnfNode::And { children } => {
-                    stack.extend(children.iter().map(|&c| (c, false)));
-                }
-            }
-        }
-        let program = b.finish().unwrap_or_else(|_| FlatProgram::constant(false));
+        // The one decision-DNNF lowering: the flat index is the
+        // topological rank, and a malformed arena degrades to ⊥ rather than
+        // panicking the request worker.
+        let program = dd.flatten();
 
         // Reverse edges and per-variable gate lists, in flat index space.
         let mut parents: Vec<Vec<u32>> = vec![Vec::new(); program.len()];
@@ -165,8 +110,8 @@ impl IncrementalCircuit {
         program.eval_into(&probs, &mut values);
 
         IncrementalCircuit {
-            nodes,
-            root,
+            nodes: dd.nodes().to_vec(),
+            root: dd.root(),
             program,
             probs,
             values,
@@ -504,6 +449,24 @@ mod tests {
         assert!(IncrementalCircuit::from_parts(nodes, 2, vec![0.5, 0.5], false, 1.0).is_none());
         // Empty arena.
         assert!(IncrementalCircuit::from_parts(vec![], 0, vec![], false, 1.0).is_none());
+    }
+
+    #[test]
+    fn new_degrades_a_dangling_child_to_false() {
+        // `from_parts` rejects this arena; `new` must still not panic.
+        let nodes = vec![
+            DdnnfNode::True,
+            DdnnfNode::Decision {
+                var: 0,
+                hi: 0,
+                lo: 5,
+            },
+        ];
+        let dd = DecisionDnnf::new(nodes, 1);
+        let mut c = IncrementalCircuit::new(&dd, vec![0.5], false, 1.0);
+        assert_eq!(c.probability(), 0.0);
+        assert_eq!(c.set_prob(0, 0.25), 0);
+        assert_eq!(c.size(), 2);
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn all_engines_agree_on_liftable_queries() {
             assert_close(grounded, truth, 1e-9);
             // OBDD compilation.
             let obdd = Obdd::compile(&lin, &order::identity_order(idx.len() as u32));
-            assert_close(obdd.probability(&probs), truth, 1e-9);
+            assert_close(obdd.flatten().eval(&probs), truth, 1e-9);
         }
     }
 }
@@ -74,7 +74,7 @@ fn grounded_engines_agree_on_hard_queries() {
         let (grounded, _) = probability_of_expr(&lin, &probs, DpllOptions::default());
         assert_close(grounded, truth, 1e-9);
         let obdd = Obdd::compile(&lin, &order::hierarchical_order(&idx));
-        assert_close(obdd.probability(&probs), truth, 1e-9);
+        assert_close(obdd.flatten().eval(&probs), truth, 1e-9);
         // Lifted must refuse (Theorem 4.3: non-hierarchical sjf CQ).
         assert!(LiftedEngine::new(&db).probability_ucq(&ucq).is_err());
     }

@@ -1,15 +1,20 @@
 //! Kernel equivalence: the flat SoA programs produced by `flatten()` are
-//! **bit-identical** to the tree walks they replace.
+//! **bit-identical** to the reference walk `DecisionDnnf::probability`.
 //!
-//! The flattening pass (crates/kernel) may only change *how* a circuit is
-//! evaluated — one non-recursive forward loop over topologically ordered
-//! arrays instead of a memoized recursion — never *what* it computes. Each
-//! node combines its children with the same arithmetic in the same
-//! left-to-right order, and each node is computed exactly once in both
-//! schemes, so every intermediate f64 is the same bit pattern. These tests
-//! pin that contract across
+//! Every circuit type is evaluated only through its flat program, and
+//! decision circuits share one lowering (`DecisionDnnf::flatten`). The
+//! flattening pass may only change *how* a circuit is evaluated — one
+//! non-recursive forward loop over topologically ordered arrays instead of
+//! a memoized recursion — never *what* it computes. Each node combines its
+//! children with the same arithmetic in the same left-to-right order, and
+//! each node is computed exactly once in both schemes, so every
+//! intermediate f64 is the same bit pattern. These tests pin that contract
+//! across
 //!
-//!   * all four circuit types (decision-DNNF, d-DNNF, OBDD, FBDD),
+//!   * all four circuit types, each checked against the reference walk of
+//!     its decision-DNNF (OBDD via `to_decision_dnnf`, FBDD via
+//!     `as_decision_dnnf`, d-DNNF via `to_ddnnf`),
+//!   * every lowering's exact node sequence, pinned as constants,
 //!   * all five query kinds (lifted, grounded, approximate, answers-CQ,
 //!     views),
 //!   * pool sizes 1 / 2 / 8 (the engine must not care how the flat
@@ -18,12 +23,14 @@
 //!     per-node arithmetic per lane, so lane values cannot depend on how
 //!     many lanes share the instruction stream).
 
+use probdb::compile::ddnnf::DdnnfNode;
 use probdb::compile::{order, DecisionDnnf, Fbdd, Obdd};
 use probdb::data::{generators, TupleDb};
+use probdb::kernel::FlatProgram;
 use probdb::lineage::{ucq_dnf_lineage, BoolExpr, Cnf};
 use probdb::logic::{parse_ucq, Var};
 use probdb::par::{with_pool, Pool};
-use probdb::views::{ViewDef, ViewManager, ViewOptions};
+use probdb::views::{IncrementalCircuit, ViewDef, ViewManager, ViewOptions};
 use probdb::wmc::{monte_carlo, Dpll, DpllOptions};
 use probdb::{ProbDb, QueryOptions};
 use proptest::prelude::*;
@@ -137,8 +144,8 @@ fn assert_flat_matches(flat: &pdb_kernel::FlatProgram, probs: &[f64], tree_bits:
 
 // ----------------------------------------------- circuit-type equivalence
 
-/// Every circuit type flattens to a program that is bit-identical to its
-/// own tree walk, scalar and batched.
+/// Every circuit type flattens to a program that is bit-identical to the
+/// reference walk of its decision-DNNF, scalar and batched.
 #[test]
 fn all_circuit_types_flatten_bit_identically() {
     for seed in 0..4 {
@@ -160,7 +167,7 @@ fn all_circuit_types_flatten_bit_identically() {
         assert_flat_matches(
             &ddnnf.flatten(),
             &probs,
-            ddnnf.probability(&probs).to_bits(),
+            dd.probability(&probs).to_bits(),
             &format!("d-DNNF seed {seed}"),
         );
 
@@ -183,7 +190,7 @@ fn all_circuit_types_flatten_bit_identically() {
         assert_flat_matches(
             &fbdd.flatten(),
             &probs,
-            fbdd.probability(&probs).to_bits(),
+            fbdd.as_decision_dnnf().probability(&probs).to_bits(),
             &format!("FBDD seed {seed}"),
         );
 
@@ -191,7 +198,7 @@ fn all_circuit_types_flatten_bit_identically() {
         assert_flat_matches(
             &obdd.flatten(),
             &probs,
-            obdd.probability(&probs).to_bits(),
+            obdd.to_decision_dnnf().probability(&probs).to_bits(),
             &format!("OBDD seed {seed}"),
         );
     }
@@ -224,6 +231,142 @@ fn batch_size_never_changes_lane_bits() {
     assert_eq!(bits(&all_at_once), bits(&one_by_one), "B=64 vs B=1 lanes");
 }
 
+// ------------------------------------------------------- lowering pins
+
+/// The E15 circuit shape: `⋁ᵢ (x_{2i} ∧ x_{2i+1})` as a chain of decision
+/// pairs, each falling through to the next pair on `x_{2i} = 0`.
+fn matching_dnnf(pairs: u32) -> DecisionDnnf {
+    let mut nodes = vec![DdnnfNode::True, DdnnfNode::False];
+    let mut next = 1u32;
+    for i in (0..pairs).rev() {
+        let y = nodes.len() as u32;
+        nodes.push(DdnnfNode::Decision {
+            var: 2 * i + 1,
+            hi: 0,
+            lo: next,
+        });
+        let x = nodes.len() as u32;
+        nodes.push(DdnnfNode::Decision {
+            var: 2 * i,
+            hi: y,
+            lo: next,
+        });
+        next = x;
+    }
+    DecisionDnnf::new(nodes, next)
+}
+
+/// `(len, FNV-1a over the node sequence, eval bits on three vectors)` of a
+/// flat program: lane 0 is `probs`, lanes 1–2 its [`stacked_lanes`]
+/// perturbations.
+fn pin_of(flat: &FlatProgram, probs: &[f64]) -> (usize, u64, [u64; 3]) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for node in flat.iter() {
+        for byte in format!("{node:?};").bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    let stacked = stacked_lanes(probs, 3);
+    let bits = |k: usize| {
+        flat.eval(&stacked[k * probs.len()..(k + 1) * probs.len()])
+            .to_bits()
+    };
+    (flat.len(), hash, [bits(0), bits(1), bits(2)])
+}
+
+/// Every lowering pinned node for node and bit for bit: the flat program
+/// of each circuit type (the E15 matching shape, traced H₀ decision-DNNFs
+/// with components, the component-free FBDD, OBDDs under two orders, the
+/// d-DNNF expansion) and one incremental view circuit's update sequence.
+/// A change that alters any program fails here; a refactor of the
+/// lowering must pass without re-recording the constants.
+#[test]
+fn lowerings_are_pinned_node_for_node() {
+    let mut pins = Vec::new();
+    let matching_probs: Vec<f64> = (0..100).map(|v| f64::from(v % 9 + 1) / 10.0).collect();
+    pins.push(pin_of(&matching_dnnf(50).flatten(), &matching_probs));
+    for seed in 0..4 {
+        let db = random_db(seed);
+        let idx = db.index();
+        let probs = probs_of(&db);
+        let nvars = probs.len() as u32;
+        let expr = hard_lineage(&db);
+        let dd = traced_dd(&expr, nvars, &probs, true);
+        pins.push(pin_of(&dd.flatten(), &probs));
+        pins.push(pin_of(&dd.to_ddnnf().flatten(), &probs));
+        let fbdd = Fbdd::from_trace(&{
+            let cnf = Cnf::from_negated_dnf(&expr, nvars);
+            let opts = DpllOptions {
+                record_trace: true,
+                components: false,
+                ..Default::default()
+            };
+            Dpll::new(&cnf, probs.clone(), opts).run().trace.unwrap()
+        })
+        .unwrap();
+        pins.push(pin_of(&fbdd.flatten(), &probs));
+        for order in [
+            order::hierarchical_order(&idx),
+            order::identity_order(nvars),
+        ] {
+            pins.push(pin_of(&Obdd::compile(&expr, &order).flatten(), &probs));
+        }
+    }
+    let rendered: Vec<String> = pins.iter().map(|p| format!("{p:?}")).collect();
+    assert_eq!(rendered, PINNED_PROGRAMS, "{rendered:#?}");
+
+    let db = random_db(2);
+    let probs = probs_of(&db);
+    let dd = traced_dd(&hard_lineage(&db), probs.len() as u32, &probs, true);
+    let mut circuit = IncrementalCircuit::new(&dd, probs.clone(), true, 1.0);
+    let mut trail = vec![(0, circuit.probability().to_bits())];
+    for step in 0..12u32 {
+        let var = (step * 7) % probs.len() as u32;
+        let gates = circuit.set_prob(var, f64::from(step % 5 + 1) / 6.0);
+        trail.push((gates, circuit.probability().to_bits()));
+    }
+    assert_eq!(trail, PINNED_INCREMENTAL);
+}
+
+const PINNED_PROGRAMS: &[&str] = &[
+    "(102, 1330173014317951876, [4607182418751218036, 4607181177741651898, 4607139442535986889])",
+    "(9, 12750953677830003925, [4606082709355668219, 4606711613333388227, 4606940114624505325])",
+    "(33, 6569760855496356203, [4606082709355668219, 4606711613333388227, 4606940114624505325])",
+    "(11, 12582671001626728131, [4606082709355668218, 4606711613333388228, 4606940114624505325])",
+    "(8, 8966540806801489142, [4593462096217958446, 4587693708501861330, 4583410955024810554])",
+    "(12, 8872292335217028078, [4593462096217958446, 4587693708501861330, 4583410955024810555])",
+    "(8, 7556858680117439828, [4606538442286570467, 4606903634426976063, 4607037997015651651])",
+    "(28, 11763311166563289215, [4606538442286570467, 4606903634426976063, 4607037997015651651])",
+    "(7, 4164857408938670607, [4606538442286570467, 4606903634426976063, 4607037997015651651])",
+    "(8, 18415827344789365691, [4589816232770740459, 4584578321345746986, 4580278718508128173])",
+    "(9, 6377608962448768538, [4589816232770740460, 4584578321345746986, 4580278718508128173])",
+    "(9, 7989284544277269706, [4604118447739924113, 4605838032813711107, 4606484653505453168])",
+    "(33, 12012953719299634881, [4604118447739924113, 4605838032813711107, 4606484653505453168])",
+    "(11, 8571666982006908215, [4604118447739924112, 4605838032813711107, 4606484653505453168])",
+    "(8, 13294745615128072741, [4599799562038092511, 4594545564235760628, 4590246543019678844])",
+    "(12, 15084791498790261586, [4599799562038092511, 4594545564235760627, 4590246543019678844])",
+    "(5, 9948008786822978681, [4605513729279737228, 4606478440408649207, 4606821981863636889])",
+    "(17, 1460678241123622139, [4605513729279737228, 4606478440408649207, 4606821981863636889])",
+    "(5, 9948008786822978681, [4605513729279737228, 4606478440408649207, 4606821981863636889])",
+    "(5, 4083387037373490965, [4595842778371656144, 4590296247794110536, 4585927812017882736])",
+    "(5, 13811525675048554809, [4595842778371656144, 4590296247794110536, 4585927812017882736])",
+];
+const PINNED_INCREMENTAL: &[(usize, u64)] = &[
+    (0, 4599799562038092510),
+    (2, 4598972735374060496),
+    (4, 4599057878976219816),
+    (4, 4597917630404526932),
+    (3, 4598184050009502766),
+    (3, 4599386000176787268),
+    (0, 4599386000176787268),
+    (0, 4599386000176787268),
+    (2, 4597730419582079328),
+    (2, 4599537419432567490),
+    (4, 4602692719171496821),
+    (4, 4601131285967357050),
+    (3, 4597878686236478356),
+];
+
 // -------------------------------------------------- five query kinds
 
 /// Kind 1 — lifted. The engine answer is pool-invariant, and the lifted
@@ -252,13 +395,13 @@ fn lifted_kind_flat_equals_tree() {
     assert_flat_matches(
         &obdd.flatten(),
         &probs,
-        obdd.probability(&probs).to_bits(),
+        obdd.to_decision_dnnf().probability(&probs).to_bits(),
         "lifted-kind OBDD",
     );
 }
 
 /// Kind 2 — grounded. The DPLL trace of the hard query lowers to a flat
-/// program matching the tree walk, and the engine's grounded answer is
+/// program matching the reference walk, and the engine's grounded answer is
 /// pool-invariant.
 #[test]
 fn grounded_kind_flat_equals_tree() {
@@ -523,7 +666,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// On arbitrary formulas and probability vectors, flattened traced
-    /// decision-DNNFs and OBDDs agree with their tree walks to the bit,
+    /// decision-DNNFs and OBDDs agree with the reference walk to the bit,
     /// scalar and batched at every batch size.
     #[test]
     fn random_formulas_flatten_bit_identically(
@@ -540,7 +683,7 @@ proptest! {
         let flat_obdd = obdd.flatten();
         prop_assert_eq!(
             flat_obdd.eval(&probs).to_bits(),
-            obdd.probability(&probs).to_bits()
+            obdd.to_decision_dnnf().probability(&probs).to_bits()
         );
 
         for lanes in BATCH_SIZES {

@@ -1,7 +1,7 @@
 //! Property-based invariants over randomly generated formulas, databases,
 //! and queries.
 
-use probdb::compile::Obdd;
+use probdb::compile::{indicators, Obdd};
 use probdb::data::{TupleDb, TupleId};
 use probdb::lineage::BoolExpr;
 use probdb::num::{approx_eq, Rational};
@@ -48,16 +48,15 @@ proptest! {
     fn obdd_is_faithful(expr in arb_expr(5, 3)) {
         let ident: Vec<u32> = (0..5).collect();
         let rev: Vec<u32> = (0..5).rev().collect();
-        let a = Obdd::compile(&expr, &ident);
-        let b = Obdd::compile(&expr, &rev);
-        for mask in 0u32..32 {
-            let assignment = |v: u32| mask >> v & 1 == 1;
-            let direct = expr.eval(&|t| assignment(t.0));
-            prop_assert_eq!(a.eval(&assignment), direct);
-            prop_assert_eq!(b.eval(&assignment), direct);
+        let a = Obdd::compile(&expr, &ident).flatten();
+        let b = Obdd::compile(&expr, &rev).flatten();
+        for mask in 0u64..32 {
+            let direct = f64::from(u8::from(expr.eval(&|t| mask >> t.0 & 1 == 1)));
+            prop_assert_eq!(a.eval(&indicators(mask, 5)), direct);
+            prop_assert_eq!(b.eval(&indicators(mask, 5)), direct);
         }
         let probs = [0.3; 5];
-        prop_assert!(approx_eq(a.probability(&probs), b.probability(&probs), 1e-9));
+        prop_assert!(approx_eq(a.eval(&probs), b.eval(&probs), 1e-9));
     }
 
     /// NNF conversion preserves semantics.
