@@ -1,12 +1,19 @@
-//! The `experiments` binary: regenerates every figure/claim of the paper.
+//! The `experiments` binary: regenerates every figure/claim of the paper
+//! and runs the acceptance gates.
 //!
 //! ```text
 //! cargo run -p pdb-bench --release -- all          # everything, full sweeps
 //! cargo run -p pdb-bench --release -- e1 e5        # selected experiments
+//! cargo run -p pdb-bench --release -- e15 e16      # selected gates
 //! cargo run -p pdb-bench --release -- --quick all  # CI-sized sweeps
 //! ```
+//!
+//! A failed assertion (a reproduction mismatch or a gate's bound) panics,
+//! so the process exits non-zero.
 
 use pdb_bench::{experiments, Effort};
+
+const KNOWN: &str = "e1 … e9, e11, e12, e15, e16, all";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -18,7 +25,7 @@ fn main() {
         .cloned()
         .collect();
     if selected.is_empty() {
-        eprintln!("usage: experiments [--quick] (all | e1 … e9)…");
+        eprintln!("usage: experiments [--quick] ({KNOWN})…");
         std::process::exit(2);
     }
     let registry = experiments();
@@ -39,7 +46,7 @@ fn main() {
                 f(effort);
             }
             None => {
-                eprintln!("unknown experiment {want}; known: e1 … e9, all");
+                eprintln!("unknown experiment {want}; known: {KNOWN}");
                 std::process::exit(2);
             }
         }

@@ -5,7 +5,7 @@
 //! per-answer-row PQE, Monte-Carlo sample chunks, and independent DPLL
 //! components. This crate gives those loops a shared pool without pulling
 //! rayon into the build, following the repo's offline-shim pattern
-//! (`crates/{rand,proptest,criterion}`).
+//! (`crates/{rand,proptest}`).
 //!
 //! Design:
 //!

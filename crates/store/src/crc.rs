@@ -3,7 +3,7 @@
 //! Every WAL record and snapshot carries a CRC so torn writes and bit flips
 //! are *detected* rather than replayed. In-tree because the container has no
 //! registry access; the byte-at-a-time table walk is plenty for log append
-//! rates (the `e13_persistence` bench measures it).
+//! rates (the perf ledger's `store.append_us` measures it).
 
 use std::sync::OnceLock;
 

@@ -11,11 +11,9 @@
 //! the balanced circuits produced by DPLL with components (§7, eqs.
 //! (11)–(13)) that is O(depth) gates per update instead of O(size) — the
 //! asymptotic gap that makes materialized views cheaper to maintain than to
-//! recompute. [`probability_batch`] evaluates the same flat program under
-//! many probability vectors at once (the full-refresh / what-if path).
+//! recompute.
 //!
 //! [`set_prob`]: IncrementalCircuit::set_prob
-//! [`probability_batch`]: IncrementalCircuit::probability_batch
 
 use pdb_compile::ddnnf::DdnnfNode;
 use pdb_compile::DecisionDnnf;
@@ -275,21 +273,6 @@ impl IncrementalCircuit {
         }
     }
 
-    /// Evaluates the circuit under `B = probs.len() / stride` stacked
-    /// probability vectors at once through the kernel's batched entry
-    /// point, applying the encoding correction (negation / Tseitin scale)
-    /// per lane. Lane `j` is bit-identical to a circuit whose leaves hold
-    /// `probs[j*stride .. (j+1)*stride]` — the full-refresh / what-if path,
-    /// amortizing one instruction stream over all lanes.
-    pub fn probability_batch(&self, probs: &[f64], stride: usize) -> Vec<f64> {
-        let mut out = self.program.eval_batch(probs, stride);
-        for p in &mut out {
-            let scaled = *p * self.scale;
-            *p = if self.negated { 1.0 - scaled } else { scaled };
-        }
-        out
-    }
-
     /// The current probability of a leaf variable.
     pub fn prob_of(&self, var: u32) -> Option<f64> {
         self.probs.get(var as usize).copied()
@@ -467,31 +450,6 @@ mod tests {
         assert_eq!(c.probability(), 0.0);
         assert_eq!(c.set_prob(0, 0.25), 0);
         assert_eq!(c.size(), 2);
-    }
-
-    #[test]
-    fn probability_batch_matches_per_lane_circuits() {
-        let f = BoolExpr::or_all([
-            BoolExpr::and_all([v(0), v(1)]),
-            BoolExpr::and_all([v(1), v(2)]),
-        ]);
-        let base = [0.3, 0.6, 0.8];
-        let c = compile(&f, &base);
-        // Three stacked vectors: the base, a perturbed one, extremes.
-        let stacked: Vec<f64> = [
-            vec![0.3, 0.6, 0.8],
-            vec![0.9, 0.1, 0.5],
-            vec![0.0, 1.0, 1.0],
-        ]
-        .concat();
-        let lanes = c.probability_batch(&stacked, 3);
-        assert_eq!(lanes.len(), 3);
-        for (lane, chunk) in lanes.iter().zip(stacked.chunks(3)) {
-            let per_lane = compile(&f, chunk);
-            assert_eq!(lane.to_bits(), per_lane.probability().to_bits());
-        }
-        // Lane 0 is the circuit's own cached value.
-        assert_eq!(lanes[0].to_bits(), c.probability().to_bits());
     }
 
     #[test]

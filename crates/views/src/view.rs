@@ -247,25 +247,6 @@ impl View {
         }
     }
 
-    /// Evaluates every circuit-backed row under `B = probs.len() / stride`
-    /// stacked probability vectors at once (the kernel's batched path):
-    /// entry `i` is `Some(lanes)` — one probability per stacked vector,
-    /// each lane bit-identical to a from-scratch rebuild of that row with
-    /// those leaf probabilities — or `None` for fallback rows, which have
-    /// no circuit to evaluate. Vectors index circuit variables, i.e. the
-    /// leaf numbering of the build snapshot (`stride` = leaf count). The
-    /// what-if path for full refresh: one instruction stream amortized over
-    /// all candidate probability assignments, no circuit mutation.
-    pub fn what_if_batch(&self, probs: &[f64], stride: usize) -> Vec<Option<Vec<f64>>> {
-        self.rows
-            .iter()
-            .map(|row| match &row.backend {
-                RowBackend::Circuit(c) => Some(c.probability_batch(probs, stride)),
-                RowBackend::Fallback => None,
-            })
-            .collect()
-    }
-
     /// Flattens the view into its persistent form (see [`crate::persist`]).
     /// The leaf index is emitted sorted so exports are byte-deterministic.
     pub fn to_state(&self) -> ViewState {

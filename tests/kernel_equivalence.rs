@@ -516,8 +516,9 @@ fn answers_kind_flat_equals_tree() {
 }
 
 /// Kind 5 — views. The full lifecycle (build, insert, refresh) is
-/// pool-invariant, and the batched what-if path is bit-identical to the
-/// stored row probabilities at lane 0 and batch-size-invariant everywhere.
+/// pool-invariant, and every row's persisted circuit flattens to a program
+/// that matches the reference walk, is batch-size-invariant, and
+/// reproduces the stored row probability bit for bit.
 #[test]
 fn views_kind_batched_refresh_is_bit_identical() {
     let lifecycle = || {
@@ -542,64 +543,29 @@ fn views_kind_batched_refresh_is_bit_identical() {
         views.refresh_all(&db).unwrap();
         let mut fingerprint = Vec::new();
         for view in views.iter() {
-            // One circuit-leaf vector per view row; all rows of these
-            // views share the build snapshot's leaf numbering.
             let state = view.to_state();
-            let stride = state
-                .rows
-                .iter()
-                .filter_map(|r| r.circuit.as_ref().map(|c| c.probs.len()))
-                .max()
-                .unwrap_or(0);
-            let base: Vec<f64> = state
-                .rows
-                .iter()
-                .filter_map(|r| r.circuit.as_ref())
-                .map(|c| c.probs.clone())
-                .next()
-                .unwrap_or_default();
-            assert_eq!(base.len(), stride, "rows share one leaf numbering");
-            assert!(stride > 0, "fixture views should be circuit-backed");
-
-            for lanes in BATCH_SIZES {
-                let stacked = stacked_lanes(&base, lanes);
-                let batched = view.what_if_batch(&stacked, stride);
-                let singly: Vec<Option<Vec<f64>>> = (0..lanes)
-                    .map(|k| view.what_if_batch(&stacked[k * stride..(k + 1) * stride], stride))
-                    .fold(Vec::new(), |mut acc, per_row| {
-                        if acc.is_empty() {
-                            acc = per_row;
-                        } else {
-                            for (row, one) in acc.iter_mut().zip(per_row) {
-                                if let (Some(all), Some(one)) = (row.as_mut(), one) {
-                                    all.extend(one);
-                                }
-                            }
-                        }
-                        acc
-                    });
-                for (row, (b, s)) in batched.iter().zip(&singly).enumerate() {
-                    match (b, s) {
-                        (Some(b), Some(s)) => {
-                            let bits =
-                                |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(bits(b), bits(s), "row {row} lanes differ at B={lanes}");
-                        }
-                        (None, None) => {}
-                        _ => panic!("row {row}: backend disagreement across batch sizes"),
-                    }
-                }
-                // Lane 0 is the build snapshot's own probabilities, so it
-                // must reproduce the stored row probability bits exactly.
-                for (row_state, lanes_of_row) in state.rows.iter().zip(&batched) {
-                    if let (Some(_), Some(values)) = (&row_state.circuit, lanes_of_row) {
-                        assert_eq!(
-                            values[0].to_bits(),
-                            row_state.probability.to_bits(),
-                            "lane 0 must equal the stored row probability"
-                        );
-                    }
-                }
+            assert!(
+                state.rows.iter().any(|r| r.circuit.is_some()),
+                "fixture views should be circuit-backed"
+            );
+            for (row, row_state) in state.rows.iter().enumerate() {
+                let Some(c) = &row_state.circuit else {
+                    continue;
+                };
+                let dd = DecisionDnnf::new(c.nodes.clone(), c.root);
+                let flat = dd.flatten();
+                let tag = format!("view {} row {row}", view.name());
+                assert_flat_matches(&flat, &c.probs, dd.probability(&c.probs).to_bits(), &tag);
+                // The encoding correction (Tseitin scale, negation) applied
+                // to the flat value must reproduce the stored row
+                // probability exactly.
+                let scaled = flat.eval(&c.probs) * c.scale;
+                let p = if c.negated { 1.0 - scaled } else { scaled };
+                assert_eq!(
+                    p.to_bits(),
+                    row_state.probability.to_bits(),
+                    "{tag}: flat evaluation must equal the stored row probability"
+                );
             }
             let rows = view
                 .rows()
