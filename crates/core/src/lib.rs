@@ -8,7 +8,10 @@
 //!    rules apply; exact.
 //! 2. **Grounded inference** (§7, `pdb-lineage` + `pdb-wmc`) — lineage plus
 //!    DPLL with components and caching; exact for *every* FO sentence, may
-//!    be exponential. A decision budget bounds the blow-up.
+//!    be exponential. A decision budget bounds the blow-up. The run is
+//!    traced, so it also compiles the query: the answer is the evaluation
+//!    of the trace's flat program ([`compile_grounded`]), which
+//!    [`ProbDb::query_fo_compiled`] hands back for re-use.
 //! 3. **Approximation** — for self-join-free CQs, the §6 all-plans upper
 //!    bound and oblivious lower bound (`pdb-plans`); for monotone queries,
 //!    the Karp–Luby FPRAS (`pdb-wmc`).
@@ -22,7 +25,10 @@ use pdb_wmc::DpllOptions;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+pub use grounded::{compile_grounded, CompiledQuery, GroundedCircuit};
 pub use pdb_lifted::{classify_sjf_cq, classify_ucq, Complexity};
+
+mod grounded;
 
 /// Which engine produced an answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -269,6 +275,30 @@ impl ProbDb {
 
     /// Answers a Boolean FO sentence with the full cascade.
     pub fn query_fo(&self, fo: &Fo, opts: &QueryOptions) -> Result<Answer, EngineError> {
+        self.cascade(fo, opts, false).map(|(answer, _)| answer)
+    }
+
+    /// [`ProbDb::query_fo`], also handing back the compiled program when
+    /// the grounded engine produced the answer: the answer *is* that
+    /// program's evaluation, and [`CompiledQuery::eval`] repeats it under
+    /// the probabilities a later state of the database holds at its
+    /// leaves ([`CompiledQuery::leaf_probs`]) without grounding or
+    /// counting again.
+    pub fn query_fo_compiled(
+        &self,
+        fo: &Fo,
+        opts: &QueryOptions,
+    ) -> Result<(Answer, Option<CompiledQuery>), EngineError> {
+        self.cascade(fo, opts, true)
+    }
+
+    /// The cascade; `keep` asks for the grounded program.
+    fn cascade(
+        &self,
+        fo: &Fo,
+        opts: &QueryOptions,
+        keep: bool,
+    ) -> Result<(Answer, Option<CompiledQuery>), EngineError> {
         if !fo.is_sentence() {
             return Err(EngineError::Unsupported(
                 "only Boolean queries (sentences) are supported".into(),
@@ -280,58 +310,47 @@ impl ProbDb {
             let lifted = pdb_lifted::probability_fo(fo, &self.db);
             span.set_bool("safe", lifted.is_ok());
             if let Ok(p) = lifted {
-                return Ok(Answer {
+                let answer = Answer {
                     probability: p,
                     method: Method::Lifted,
                     bounds: None,
                     std_error: None,
-                });
+                };
+                return Ok((answer, None));
             }
         }
         opts.check_deadline()?;
-        // 2. Grounded inference with a decision budget and a deadline.
-        let mut compile_span = pdb_obs::span(pdb_obs::Stage::Compile);
+        // 2. Grounded inference with a decision budget and a deadline: one
+        //    traced count compiles the query (`grounded::compile_grounded`).
+        //    A traced run does not fork, so it counts on this thread.
         let index = self.db.index();
-        let lineage = pdb_lineage::lineage(fo, &self.db, &index);
         let probs: Vec<f64> = index.iter().map(|(_, r)| r.prob).collect();
-        compile_span.set_u64("tuples", probs.len() as u64);
-        drop(compile_span);
-        opts.check_deadline()?;
         let dpll_opts = DpllOptions {
             max_decisions: opts.exact_budget,
             deadline: opts.deadline,
             ..Default::default()
         };
-        // Counting runs on the pool (independent components in parallel;
-        // bit-identical to the sequential counter — `pdb_wmc::run_parallel`).
         let pool = pdb_par::current();
-        let exact = {
-            let mut span = pdb_obs::span(pdb_obs::Stage::Ground);
-            let kernel_before = span.is_recording().then(pdb_kernel::stats);
-            span.set_u64("budget", opts.exact_budget);
-            let exact = pdb_wmc::count_expr(&lineage, &probs, dpll_opts, &pool);
-            span.set_bool("within_budget", !exact.aborted);
-            if let Some(before) = kernel_before {
-                let after = pdb_kernel::stats();
-                span.set_u64("kernel_evals", after.evals - before.evals);
-                span.set_u64("kernel_bytes", after.eval_bytes - before.eval_bytes);
+        match grounded::compile_grounded(fo, &self.db, &index, &probs, dpll_opts, &pool) {
+            Some(g) => {
+                let probability = {
+                    let mut span = pdb_obs::span(pdb_obs::Stage::Eval);
+                    span.set_u64("nodes", g.program.len() as u64);
+                    g.probability()
+                };
+                let answer = Answer {
+                    probability,
+                    method: Method::Grounded,
+                    bounds: None,
+                    std_error: None,
+                };
+                let program = keep.then(|| CompiledQuery::new(g, fo, &index, &self.db));
+                return Ok((answer, program));
             }
-            // An aborted count is a stage boundary too: if the clock is
-            // past the deadline now, that is what the run reports, whichever
-            // of its two budgets stopped the counter.
-            if exact.aborted && opts.check_deadline().is_err() {
-                span.set_bool("deadline", true);
-                return Err(EngineError::DeadlineExceeded);
-            }
-            exact
-        };
-        if !exact.aborted {
-            return Ok(Answer {
-                probability: exact.probability,
-                method: Method::Grounded,
-                bounds: None,
-                std_error: None,
-            });
+            // A stopped count is a stage boundary too: if the clock is past
+            // the deadline now, that is what the run reports, whichever of
+            // its two budgets stopped the counter.
+            None => opts.check_deadline()?,
         }
         // 3. Approximation: Karp–Luby over the monotone DNF (plus plan
         //    bounds when the query is a single self-join-free CQ).
@@ -377,12 +396,13 @@ impl ProbDb {
         if let Some((lo, hi)) = bounds {
             probability = probability.clamp(lo, hi);
         }
-        Ok(Answer {
+        let answer = Answer {
             probability,
             method: Method::Approximate,
             bounds,
             std_error: Some(est.std_error),
-        })
+        };
+        Ok((answer, None))
     }
 
     /// Answers a UCQ (monotone ∃* fragment) via the cascade.

@@ -9,6 +9,14 @@ use std::fmt;
 ///
 /// Tuples keep insertion order; lineage variables are numbered in this order,
 /// so experiment output is deterministic.
+///
+/// A relation is **append-only**: nothing removes a tuple, and inserting a
+/// tuple that is already stored overwrites its probability in place. So a
+/// tuple's position never changes, and two states of one relation with the
+/// same [`Relation::len`] hold the same tuples at the same positions —
+/// only their probabilities can differ. Compiled query programs rely on
+/// this: they address their leaves by `(relation, position)` and stay
+/// valid for as long as the counts of the relations they read are equal.
 #[derive(Clone, Debug)]
 pub struct Relation {
     name: String,
@@ -87,6 +95,12 @@ impl Relation {
         self.index.get(tuple).copied()
     }
 
+    /// The probability of the tuple at `position` (insertion order), if
+    /// there is one.
+    pub fn prob_at(&self, position: usize) -> Option<f64> {
+        self.tuples.get(position).map(|&(_, p)| p)
+    }
+
     /// Iterates tuples with probabilities in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, f64)> {
         self.tuples.iter().map(|(t, p)| (t, *p))
@@ -160,6 +174,28 @@ mod tests {
         let order: Vec<_> = r.iter().map(|(t, _)| t.clone()).collect();
         assert_eq!(order, vec![Tuple::from([1, 2]), Tuple::from([0, 9])]);
         assert_eq!(r.position(&Tuple::from([0, 9])), Some(1));
+    }
+
+    #[test]
+    fn relations_are_append_only() {
+        let mut r = Relation::new("S", 2);
+        r.insert([1, 2], 0.1);
+        r.insert([0, 9], 0.2);
+        r.insert([5, 5], 0.3);
+        let before: Vec<Tuple> = r.iter().map(|(t, _)| t.clone()).collect();
+        // Re-inserting a stored tuple changes its probability, not its
+        // position, and not the count.
+        r.insert([0, 9], 0.7);
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.position(&Tuple::from([0, 9])), Some(1));
+        assert_eq!(r.prob_at(1), Some(0.7));
+        // A new tuple goes after every stored one.
+        r.insert([4, 4], 0.4);
+        let after: Vec<Tuple> = r.iter().map(|(t, _)| t.clone()).collect();
+        assert_eq!(after[..3], before[..]);
+        assert_eq!(r.position(&Tuple::from([4, 4])), Some(3));
+        assert_eq!(r.prob_at(3), Some(0.4));
+        assert_eq!(r.prob_at(4), None);
     }
 
     #[test]

@@ -304,6 +304,26 @@ impl FlatProgram {
         self.num_vars
     }
 
+    /// Renumbers the variables the program reads densely — `vars()[i]`
+    /// becomes `i` — and returns the old variable of each new one (the
+    /// old `vars()`). A variable is only ever read as `probs[var]`, so the
+    /// compacted program under `probs'[i] = probs[old[i]]` computes every
+    /// node bit for bit as before, from a vector as long as the leaf table
+    /// rather than one entry per variable of the source circuit.
+    pub fn compact_vars(&mut self) -> Vec<u32> {
+        for (op, a) in self.ops.iter().zip(self.a.iter_mut()) {
+            if matches!(op, OpTag::Leaf | OpTag::NegLeaf | OpTag::Decision) {
+                // Every variable read is in the table by construction;
+                // `u32::MAX` (a NaN on evaluation) marks the impossible miss.
+                *a = self.vars.binary_search(a).map_or(u32::MAX, |i| i as u32);
+            }
+        }
+        let dense = (0..self.vars.len() as u32).collect();
+        let old = std::mem::replace(&mut self.vars, dense);
+        self.num_vars = old.len();
+        old
+    }
+
     /// Bytes of program state streamed by one evaluation pass (the SoA
     /// arrays; the basis of the server's `bytes_per_eval` gauge).
     pub fn byte_size(&self) -> usize {
@@ -538,6 +558,30 @@ mod tests {
     fn reference(probs: &[f64]) -> f64 {
         let p = |i: usize| probs[i];
         p(0) * p(1) * p(2) + (1.0 - p(3))
+    }
+
+    #[test]
+    fn compacted_vars_evaluate_bit_identically() {
+        let mut b = FlatBuilder::new();
+        let f = b.push_const(false);
+        let t = b.push_const(true);
+        let x9 = b.push_decision(9, t, f);
+        let x4 = b.push_decision(4, x9, f);
+        let x7 = b.push_neg_leaf(7);
+        b.push_mul(&[x4, x7]);
+        let sparse = b.finish().unwrap();
+        let mut dense = sparse.clone();
+        let old = dense.compact_vars();
+        assert_eq!(old, [4, 7, 9]);
+        assert_eq!(dense.vars(), &[0, 1, 2]);
+        assert_eq!(dense.num_vars(), 3);
+        assert_eq!(dense.byte_size(), sparse.byte_size());
+        let probs: Vec<f64> = (0..10).map(|i| 0.05 + 0.09 * i as f64).collect();
+        let gathered: Vec<f64> = old.iter().map(|&v| probs[v as usize]).collect();
+        assert_eq!(
+            dense.eval(&gathered).to_bits(),
+            sparse.eval(&probs).to_bits()
+        );
     }
 
     #[test]

@@ -30,6 +30,46 @@ pub fn lineage(fo: &Fo, db: &TupleDb, index: &TupleIndex) -> BoolExpr {
     go(fo, index, &dom)
 }
 
+/// Whether the lineage [`lineage`] builds for `fo` can change when `DOM`
+/// grows by constants that no tuple of `fo`'s relations holds.
+///
+/// Grounded at such a constant `c`, an atom over `c` is absent, hence ⊥.
+/// A quantifier is *guarded* when that makes every instance of its body at
+/// `c` fold to its neutral element — ⊥ under ∃ (an atom over the variable
+/// in every disjunct: `∃y. S(x,y) ∧ T(y)`), ⊤ under ∀ (a negated atom over
+/// it in some disjunct: `∀y. R(x) ∨ ¬S(x,y)`) — which the smart ∧/∨ of
+/// [`BoolExpr`] then drop. A sentence whose every quantifier is guarded
+/// has a lineage that is a function of its relations' tuples alone; any
+/// other reads the domain (`∀x. R(x)` gains a conjunct ⊥, `∃x. R(1)`
+/// repeats its body, once per constant).
+pub fn reads_domain(fo: &Fo) -> bool {
+    /// Every grounding of `f` at `v := c`, for `c` in no mentioned tuple,
+    /// folds to the constant `to`.
+    fn folds(f: &Fo, v: &Var, to: bool) -> bool {
+        match f {
+            Fo::True => to,
+            Fo::False => !to,
+            Fo::Atom(a) => !to && a.contains_var(v),
+            Fo::Not(inner) => folds(inner, v, !to),
+            // ∧ is ⊥ once one part is, ⊤ only when all are; ∨ dually.
+            Fo::And(parts) if to => parts.iter().all(|p| folds(p, v, to)),
+            Fo::And(parts) => parts.iter().any(|p| folds(p, v, to)),
+            Fo::Or(parts) if to => parts.iter().any(|p| folds(p, v, to)),
+            Fo::Or(parts) => parts.iter().all(|p| folds(p, v, to)),
+            // `DOM` holds `c`, so a quantifier over instances that all fold
+            // alike folds the same way.
+            Fo::Exists(w, body) | Fo::Forall(w, body) => w != v && folds(body, v, to),
+        }
+    }
+    match fo {
+        Fo::True | Fo::False | Fo::Atom(_) => false,
+        Fo::Not(inner) => reads_domain(inner),
+        Fo::And(parts) | Fo::Or(parts) => parts.iter().any(reads_domain),
+        Fo::Exists(v, body) => !folds(body, v, false) || reads_domain(body),
+        Fo::Forall(v, body) => !folds(body, v, true) || reads_domain(body),
+    }
+}
+
 fn go(fo: &Fo, index: &TupleIndex, dom: &[Const]) -> BoolExpr {
     lineage_with(fo, dom, &|a| atom_expr(a, index))
 }
@@ -310,6 +350,54 @@ mod tests {
         db.insert("S", [0, 1], 0.5);
         db.insert("S", [1, 1], 0.5);
         db
+    }
+
+    #[test]
+    fn guarded_quantifiers_do_not_read_the_domain() {
+        for (q, reads) in [
+            ("exists x. exists y. R(x) & S(x,y) & T(y)", false),
+            ("(exists x. R(x)) | (exists y. S(1,y))", false),
+            ("exists x. R(x) | exists y. S(1,y)", true),
+            ("R(1) & exists x. (R(x) & (S(x,2) | S(x,3)))", false),
+            ("exists x. R(1)", true),
+            ("exists x. (R(x) | S(1,2))", true),
+            ("exists x. exists x. R(x)", true),
+            ("exists x. R(x) & !S(x,x)", false),
+            ("exists x. exists y. R(x) & S(x,y) & !T(y)", false),
+            ("forall x. forall y. (R(x) | !S(x,y) | T(y))", false),
+            ("forall x. forall y. (S(x,y) -> R(x))", false),
+            ("forall x. forall y. (R(x) | S(x,y) | T(y))", true),
+            ("forall x. exists y. S(x,y)", true),
+            ("forall x. R(x)", true),
+            ("!(exists x. R(x))", false),
+        ] {
+            let fo = parse_fo(q).unwrap();
+            assert_eq!(reads_domain(&fo), reads, "{q}");
+            if reads {
+                continue;
+            }
+            // Growing DOM by constants no tuple holds leaves the lineage
+            // — the expression, not just its meaning — unchanged.
+            let mut db = sample_db();
+            db.insert("T", [1], 0.5);
+            let before = lineage(&fo, &db, &db.index());
+            db.extend_domain([7, 8]);
+            db.insert("A", [9], 0.5);
+            let after = lineage(&fo, &db, &db.index());
+            // `A` sorts first, so every id moved up by one.
+            assert_eq!(before, renumber(&after, -1), "{q}");
+        }
+    }
+
+    /// `expr` with every variable id moved by `by`.
+    fn renumber(expr: &BoolExpr, by: i64) -> BoolExpr {
+        match expr {
+            BoolExpr::Const(b) => BoolExpr::Const(*b),
+            BoolExpr::Var(v) => BoolExpr::var(TupleId((v.0 as i64 + by) as u32)),
+            BoolExpr::Not(inner) => renumber(inner, by).negate(),
+            BoolExpr::And(parts) => BoolExpr::And(parts.iter().map(|p| renumber(p, by)).collect()),
+            BoolExpr::Or(parts) => BoolExpr::Or(parts.iter().map(|p| renumber(p, by)).collect()),
+        }
     }
 
     #[test]

@@ -22,4 +22,6 @@ pub mod ground;
 
 pub use cnf::{Clause, Cnf, Lit};
 pub use expr::BoolExpr;
-pub use ground::{cq_answer_bindings, lineage, lineage_with, ucq_dnf_lineage, DnfLineage};
+pub use ground::{
+    cq_answer_bindings, lineage, lineage_with, reads_domain, ucq_dnf_lineage, DnfLineage,
+};

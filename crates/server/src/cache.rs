@@ -1,10 +1,13 @@
-//! A small LRU cache for query results, keyed by
-//! `(kind, normalized query, db version)`.
+//! A small LRU cache for query results, keyed by `(kind, normalized
+//! query)`.
 //!
-//! Versioned keys make invalidation free: an `insert`/`domain` bumps the
-//! [`pdb_core::ProbDb::version`] counter, so every entry computed against
-//! the old contents simply stops matching. Stale entries are then reclaimed
-//! by ordinary LRU pressure rather than by an eager scan.
+//! The key carries no version: each entry holds the stamps it is valid
+//! under (relation versions for a value, which every `insert`, `update`
+//! and `domain` on a mentioned relation moves; tuple counts for a compiled
+//! program, which only a new tuple moves), and the service checks them
+//! against its snapshot on every probe. A stale entry is replaced in place
+//! by the result that supersedes it, so mutations never strand dead
+//! entries in the LRU.
 //!
 //! Recency is tracked with a `BTreeMap<tick, key>` side index: `get` and
 //! `insert` are `O(log n)`, eviction pops the least-recent tick. That is

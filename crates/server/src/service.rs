@@ -12,15 +12,32 @@
 //!
 //! ## Caching
 //!
-//! Results are cached under `(kind, normalized query, version key)` (see
-//! [`crate::cache`]). The version key is **fine-grained**: a UCQ's answer
-//! depends only on the stored tuples of the relations it mentions, so its
-//! entries are keyed on those relations' versions from the
-//! [`pdb_core::ProbDb`] version vector and survive writes to unrelated
-//! relations. Non-UCQ sentences (anything with a ∀) can change whenever
-//! the active domain grows, so they fall back to the global version. Either
-//! way the key is read from the same snapshot the query runs on — no stale
-//! probability can ever be served.
+//! Results are cached under `(kind, normalized query)` (see
+//! [`crate::cache`]); the text is parsed once, on a miss, and the entry
+//! records what its results depend on so that a hit parses nothing. An
+//! entry holds a value, a compiled program, or both, each with its own
+//! validity stamp, read from the same snapshot the query runs on:
+//!
+//! * a **value** (any exact answer: lifted, safe-plan, grounded) is valid
+//!   while the mentioned relations' versions from the
+//!   [`pdb_core::ProbDb`] version vector are unchanged — the global
+//!   version for non-UCQ sentences, whose answer a growing domain can
+//!   change. Any write to a mentioned relation, an `update` included,
+//!   moves the stamp;
+//! * a **program** ([`pdb_core::CompiledQuery`], kept when the grounded
+//!   engine answered) is valid while the mentioned relations' tuple counts
+//!   — and `|DOM|`, when the lineage reads it — are unchanged. Relations
+//!   are append-only, so an `update` (or a re-`insert` of a stored tuple)
+//!   leaves it valid: a probe reads the snapshot's probabilities at its
+//!   leaves and the query is answered by one kernel pass, with the engine
+//!   and the bits a cold run would report. Programs share a byte budget
+//!   (`PROGRAM_CACHE_BYTES`); one over its share is not kept.
+//!
+//! A stale entry is replaced in place when its query is recomputed. Stamps
+//! only compare within one database history: `install_snapshot` (replica
+//! bootstrap, the shell's `open`) starts a new generation, entries from
+//! another generation are never served, and a query that took its
+//! snapshot before the install does not cache its result.
 //!
 //! ## Mutations
 //!
@@ -55,7 +72,9 @@
 //! sample count, exact budget 1) — the paper's cascade, applied to latency
 //! (Gatterbauer & Suciu's motivation for approximate lifted inference) —
 //! while `answers` and `open` reply with the typed error. A degraded answer
-//! is not cached, so a repeat of a timed-out query is evaluated again.
+//! is not cached, and neither is a program: a compilation stopped by the
+//! deadline is not finished in the background, so a repeat of a timed-out
+//! query is evaluated, and degrades, again.
 
 use crate::cache::LruCache;
 use crate::protocol::{
@@ -64,14 +83,14 @@ use crate::protocol::{
     normalize_query, parse_command, Command, ViewCommand, HELP,
 };
 use crate::stats::{Sources, Stats};
-use pdb_core::{Answer, Complexity, EngineError, ProbDb, QueryOptions};
+use pdb_core::{Answer, CompiledQuery, Complexity, EngineError, Method, ProbDb, QueryOptions};
 use pdb_obs::{span, with_tracer, Stage, Tracer};
 use pdb_replica::{Frame, ReadOnlyReplica, ReplicaFeed, ReplicaHub, ReplicaStatus};
 use pdb_store::snapshot::{decode_snapshot, encode_snapshot};
 use pdb_store::{Refused, Store, StoreError, WalOp};
 use pdb_views::ViewManager;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -101,30 +120,114 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 enum CacheKind {
     /// A Boolean query probability (with bounds / std error when present).
     Probability,
-    /// A UCQ dichotomy classification (data-independent: keyed pinned).
+    /// A UCQ dichotomy classification (data-independent: never stale).
     Classify,
 }
 
-/// Which part of the database a cache entry depends on.
-#[derive(Clone, Debug, Hash, PartialEq, Eq)]
-enum VersionKey {
-    /// Data-independent results (classification) — never invalidated.
-    Pinned,
-    /// Depends on the whole database (non-UCQ sentences: the active domain
-    /// can grow on any insert).
-    Global(u64),
-    /// Depends only on the named relations' contents (UCQ answers are
-    /// domain-independent); sorted for a canonical hash.
-    Relations(Vec<(String, u64)>),
-}
-
-type CacheKey = (CacheKind, String, VersionKey);
+/// Entries are keyed by normalized text alone; each carries its own
+/// validity stamps, so a stale entry is replaced in place by the result
+/// that supersedes it.
+type CacheKey = (CacheKind, String);
 
 /// A cached result.
 #[derive(Clone, Debug)]
 enum CacheEntry {
-    Answer(Answer),
+    Query(Arc<QueryEntry>),
     Classify(Complexity),
+}
+
+/// The byte budget for compiled programs across the whole result cache.
+/// A cache of `capacity` entries keeps a program only if it takes at most
+/// `PROGRAM_CACHE_BYTES / capacity` bytes ([`CompiledQuery::byte_size`]:
+/// program arrays plus leaf table); a larger one is dropped and its query
+/// caches its value only. So a cache full of programs stays within the
+/// budget, whatever the queries. At the default capacity of 1024 that is
+/// 512 KiB — ~27,000 circuit nodes, 2.5× the largest H₀-band program the
+/// what-if workloads compile.
+const PROGRAM_CACHE_BYTES: usize = 512 << 20;
+
+/// What a query's cached results depend on, read off the parsed sentence
+/// once so that a hit parses nothing.
+#[derive(Debug)]
+struct QueryDeps {
+    /// The relations the sentence mentions, in name order.
+    relations: Vec<String>,
+    /// A UCQ's answer depends only on its relations' contents; any other
+    /// sentence's on the whole database (a ∀ ranges over a domain any
+    /// insert can grow).
+    ucq: bool,
+}
+
+impl QueryDeps {
+    fn of(fo: &pdb_logic::Fo) -> QueryDeps {
+        QueryDeps {
+            relations: fo
+                .predicates()
+                .iter()
+                .map(|p| p.name().to_string())
+                .collect(),
+            ucq: fo.to_ucq().is_some(),
+        }
+    }
+
+    /// The stamp a cached *value* is valid under: the mentioned relations'
+    /// versions for a UCQ, the global version otherwise. Any write that
+    /// can change the answer — an `update` included — moves it.
+    fn versions(&self, db: &ProbDb) -> Vec<u64> {
+        if self.ucq {
+            self.relations
+                .iter()
+                .map(|r| db.relation_version(r))
+                .collect()
+        } else {
+            vec![db.version()]
+        }
+    }
+}
+
+/// A cached query: a value, a compiled program, or both, each with the
+/// stamp it is valid under.
+#[derive(Debug)]
+struct QueryEntry {
+    /// The database history the entry was computed in (see
+    /// `Shared::generation`); an entry from another is never served.
+    generation: u64,
+    deps: QueryDeps,
+    /// The answer, valid while [`QueryDeps::versions`] is unchanged.
+    value: Option<(Vec<u64>, Answer)>,
+    /// The grounded program, re-evaluated under current probabilities for
+    /// as long as the tuples it reads are there
+    /// ([`CompiledQuery::leaf_probs`] checks).
+    program: Option<Arc<CompiledQuery>>,
+}
+
+/// What a cache probe found usable on a snapshot.
+enum Probe {
+    Value(Answer),
+    /// A program still valid on the snapshot, with the snapshot's
+    /// probabilities at its leaves.
+    Program(Arc<CompiledQuery>, Vec<f64>),
+    Miss,
+}
+
+impl QueryEntry {
+    fn probe(&self, db: &ProbDb, generation: u64) -> Probe {
+        if self.generation != generation {
+            return Probe::Miss;
+        }
+        if let Some((stamp, answer)) = &self.value {
+            if *stamp == self.deps.versions(db) {
+                return Probe::Value(answer.clone());
+            }
+        }
+        match &self.program {
+            Some(program) => match program.leaf_probs(db) {
+                Some(probs) => Probe::Program(Arc::clone(program), probs),
+                None => Probe::Miss,
+            },
+            None => Probe::Miss,
+        }
+    }
 }
 
 /// Tuning knobs for a [`Service`].
@@ -175,6 +278,16 @@ struct TraceCapture {
 
 struct Shared {
     db: RwLock<Arc<ProbDb>>,
+    /// The database history: bumped, under the `db` write lock, whenever a
+    /// snapshot install replaces the database wholesale. Stamps are only
+    /// comparable within one history, so every cache entry records the
+    /// generation its snapshot was read in. Readers load it under the `db`
+    /// read lock (so a snapshot and its generation always match) and again
+    /// under the cache mutex before inserting; the install's bump happens
+    /// before it takes that mutex to clear, so an insert either sees the
+    /// bump or is cleared by it. Those locks order every access, so the
+    /// atomic's own Acquire/Release pairing is not load-bearing.
+    generation: AtomicU64,
     cache: Mutex<LruCache<CacheKey, CacheEntry>>,
     views: Mutex<ViewManager>,
     stats: Stats,
@@ -279,6 +392,7 @@ impl Service {
         Service {
             inner: Arc::new(Shared {
                 db: RwLock::new(Arc::new(db)),
+                generation: AtomicU64::new(0),
                 cache: Mutex::new(LruCache::new(capacity)),
                 views: Mutex::new(views),
                 stats: Stats::default(),
@@ -385,10 +499,13 @@ impl Service {
         {
             let mut guard = write(&self.inner.db);
             *guard = Arc::new(db);
+            self.inner.generation.fetch_add(1, Ordering::AcqRel);
         }
         *lock(&self.inner.views) = views;
-        // Cached results were computed against the pre-install history;
-        // version keys need not be comparable across a wholesale swap.
+        // Cached results were computed against the pre-install history,
+        // whose stamps the new one can repeat. The generation bump already
+        // keeps them from being served, and a query still running on a
+        // pre-install snapshot is refused when it inserts; this frees them.
         lock(&self.inner.cache).clear();
         Ok(lsn)
     }
@@ -485,6 +602,20 @@ impl Service {
     /// bit).
     pub fn db_snapshot(&self) -> Arc<ProbDb> {
         Arc::clone(&read(&self.inner.db))
+    }
+
+    /// The most bytes one cached program may take (see
+    /// [`PROGRAM_CACHE_BYTES`]).
+    fn program_byte_cap(&self) -> usize {
+        PROGRAM_CACHE_BYTES / self.inner.opts.cache_capacity.max(1)
+    }
+
+    /// A snapshot with the history generation it belongs to, read under
+    /// one read lock.
+    fn snapshot(&self) -> (Arc<ProbDb>, u64) {
+        let guard = read(&self.inner.db);
+        let generation = self.inner.generation.load(Ordering::Acquire);
+        (Arc::clone(&guard), generation)
     }
 
     /// Runs `f` under the view-manager lock (diagnostics; replication
@@ -765,22 +896,6 @@ impl Service {
         }
     }
 
-    /// The version key a Boolean query's cache entry depends on: the
-    /// mentioned relations' versions for UCQs (domain-independent), the
-    /// global version otherwise (a ∀ sees the whole domain, which any
-    /// insert can grow).
-    fn version_key(db: &ProbDb, norm: &str) -> VersionKey {
-        match pdb_logic::parse_fo(norm) {
-            Ok(fo) if fo.to_ucq().is_some() => VersionKey::Relations(
-                fo.predicates()
-                    .iter()
-                    .map(|p| (p.name().to_string(), db.relation_version(p.name())))
-                    .collect(),
-            ),
-            _ => VersionKey::Global(db.version()),
-        }
-    }
-
     fn run_query(&self, text: &str) -> String {
         let Some(threshold) = self.inner.opts.slowlog_threshold else {
             // No subscriber: every span below is inert (one relaxed atomic
@@ -833,73 +948,100 @@ impl Service {
         format!("error: {e}\n")
     }
 
-    /// The query path proper, emitting the cascade span tree (root `query`
-    /// span, `parse` + `cache` children, engine stages recorded inside
-    /// [`pdb_core`]) — all of it on the calling thread.
+    /// The query path proper, rendered for the wire.
     fn run_query_spanned(&self, text: &str) -> String {
+        match self.query(text) {
+            Ok(a) => format_answer(&a),
+            Err(e) => format!("error: {e}\n"),
+        }
+    }
+
+    /// Answers the sentence of a `query` command exactly as the wire does —
+    /// cache, engines, deadline, counters — but returns the answer
+    /// unrendered (the wire prints six decimals; bit-level checks need the
+    /// `f64`). Emits the cascade span tree: a root `query` span with
+    /// `parse` and `cache` children, then an `eval` span for a program hit
+    /// or the engine stages recorded inside [`pdb_core`] on a miss — all
+    /// of it on the calling thread.
+    pub fn query(&self, text: &str) -> Result<Answer, EngineError> {
         let start = Instant::now();
         let mut root = span(Stage::Query);
-        let (norm, db, key) = {
-            let _parse = span(Stage::Parse);
-            let norm = normalize_query(text);
-            let db = self.db_snapshot();
-            let key = (
-                CacheKind::Probability,
-                norm.clone(),
-                Self::version_key(&db, &norm),
-            );
-            (norm, db, key)
-        };
+        let parse = span(Stage::Parse);
+        let key = (CacheKind::Probability, normalize_query(text));
+        let (db, generation) = self.snapshot();
+        drop(parse);
         if root.is_recording() {
-            root.set_str("query", norm.clone());
+            root.set_str("query", key.1.clone());
         }
-        let cached = {
+        let probe = {
             let mut cache_span = span(Stage::Cache);
-            let hit = {
-                let mut cache = lock(&self.inner.cache);
-                cache.get(&key).cloned()
+            let entry = lock(&self.inner.cache).get(&key).cloned();
+            let probe = match entry {
+                Some(CacheEntry::Query(entry)) => entry.probe(&db, generation),
+                _ => Probe::Miss,
             };
-            cache_span.set_bool("hit", matches!(hit, Some(CacheEntry::Answer(_))));
-            hit
+            let hit = match probe {
+                Probe::Value(_) => "value",
+                Probe::Program(..) => "program",
+                Probe::Miss => "miss",
+            };
+            cache_span.set_str("hit", hit);
+            probe
         };
-        let answer = if let Some(CacheEntry::Answer(a)) = cached {
-            self.inner.stats.record_cache_hit();
-            Ok(a)
-        } else {
-            self.inner.stats.record_cache_miss();
-            self.compute(&db, &norm, key, start)
+        let answer = match probe {
+            Probe::Value(answer) => {
+                self.inner.stats.record_cache_hit();
+                Ok(answer)
+            }
+            // Evaluated with no lock held: the program is shared, the
+            // probabilities are the snapshot's. The answer is the one a
+            // cold run on this snapshot returns, engine and bits alike.
+            Probe::Program(program, probs) => {
+                self.inner.stats.record_cache_hit();
+                let mut eval = span(Stage::Eval);
+                eval.set_u64("nodes", program.len() as u64);
+                Ok(Answer {
+                    probability: program.eval(&probs),
+                    method: Method::Grounded,
+                    bounds: None,
+                    std_error: None,
+                })
+            }
+            Probe::Miss => {
+                self.inner.stats.record_cache_miss();
+                self.compute(&db, generation, key, start)
+            }
         };
-        let out = match answer {
+        match &answer {
             Ok(a) => {
                 self.inner.stats.record_method(a.method);
                 if root.is_recording() {
                     root.set_str("engine", format!("{:?}", a.method));
                 }
-                format_answer(&a)
             }
-            Err(e) => {
-                self.inner.stats.record_error();
-                format!("error: {e}\n")
-            }
-        };
+            Err(_) => self.inner.stats.record_error(),
+        }
         self.inner.stats.record_latency(start.elapsed());
-        out
+        answer
     }
 
-    /// Evaluates `norm` on `db` under the deadline of a query that began at
-    /// `start`, and caches the result. When the deadline passes first, the
-    /// engine has already stopped its exact work; the answer then comes
-    /// from the approximate path — no exact counting (budget 1), a reduced
-    /// Karp–Luby sample count, same snapshot — and is not cached.
+    /// Evaluates the query of `key` on `db` — a snapshot of history
+    /// `generation` — under the deadline of a query that began at `start`,
+    /// and caches the answer with, when the grounded engine produced it,
+    /// its program. The text is parsed here, once. When the deadline passes
+    /// first, the engine has already stopped its exact work; the answer
+    /// then comes from the approximate path — no exact counting (budget 1),
+    /// a reduced Karp–Luby sample count, same snapshot — and nothing is
+    /// cached.
     fn compute(
         &self,
         db: &ProbDb,
-        norm: &str,
+        generation: u64,
         key: CacheKey,
         start: Instant,
     ) -> Result<Answer, EngineError> {
-        let fo = pdb_logic::parse_fo(norm)?;
-        match db.query_fo(&fo, &self.query_options(start)) {
+        let fo = pdb_logic::parse_fo(&key.1)?;
+        match db.query_fo_compiled(&fo, &self.query_options(start)) {
             Err(EngineError::DeadlineExceeded) => {
                 self.inner.stats.record_timeout();
                 let samples = self.inner.opts.degraded_samples;
@@ -914,20 +1056,33 @@ impl Service {
                 };
                 db.query_fo(&fo, &opts)
             }
-            exact => {
-                if let Ok(answer) = &exact {
-                    lock(&self.inner.cache).insert(key, CacheEntry::Answer(answer.clone()));
+            Err(e) => Err(e),
+            Ok((answer, program)) => {
+                let deps = QueryDeps::of(&fo);
+                let program = program
+                    .filter(|p| p.byte_size() <= self.program_byte_cap())
+                    .map(Arc::new);
+                let entry = QueryEntry {
+                    generation,
+                    value: Some((deps.versions(db), answer.clone())),
+                    program,
+                    deps,
+                };
+                let mut cache = lock(&self.inner.cache);
+                // A snapshot install since `db` was taken starts a history
+                // whose stamps can repeat this entry's: drop it.
+                if self.inner.generation.load(Ordering::Acquire) == generation {
+                    cache.insert(key, CacheEntry::Query(Arc::new(entry)));
                 }
-                exact
+                Ok(answer)
             }
         }
     }
 
     fn run_classify(&self, text: &str) -> String {
         let norm = normalize_query(text);
-        // Classification is data-independent, so the key is pinned and
-        // survives every insert.
-        let key = (CacheKind::Classify, norm.clone(), VersionKey::Pinned);
+        // Classification is data-independent: the entry is never stale.
+        let key = (CacheKind::Classify, norm.clone());
         let cached = {
             let mut cache = lock(&self.inner.cache);
             cache.get(&key).cloned()
@@ -1308,6 +1463,128 @@ mod tests {
         assert!(resp.contains("(engine: Lifted)"), "{resp}");
         assert_eq!(svc.stats().timeouts(), 0);
         assert_eq!(svc.cache_len(), 1);
+    }
+
+    /// Serves `q` through the cache under a fresh tracer: the cache span's
+    /// outcome and the answer's bits.
+    fn served(svc: &Service, q: &str) -> (String, u64) {
+        let tracer = Tracer::new();
+        let answer = with_tracer(&tracer, || svc.query(q)).unwrap();
+        let records = tracer.records();
+        let cache = records.iter().find(|r| r.stage == Stage::Cache).unwrap();
+        let hit = cache.attrs.iter().find(|(k, _)| *k == "hit").unwrap();
+        (hit.1.to_string(), answer.probability.to_bits())
+    }
+
+    /// What a cold `ProbDb::query_fo` on a clone of the served snapshot
+    /// answers for `q`, as bits.
+    fn fresh(svc: &Service, q: &str) -> u64 {
+        let db = ProbDb::clone(&svc.db_snapshot());
+        let fo = pdb_logic::parse_fo(q).unwrap();
+        let answer = db.query_fo(&fo, &QueryOptions::default()).unwrap();
+        assert_eq!(answer.method, pdb_core::Method::Grounded, "{q}");
+        answer.probability.to_bits()
+    }
+
+    /// H₀'s dual: grounded, and its lineage grows with the domain.
+    const FORALL: &str = "forall x. forall y. (R(x) | S(x,y) | T(y))";
+
+    #[test]
+    fn cached_programs_follow_what_their_lineage_depends_on() {
+        let svc = Service::new(h0_db(4), no_deadline_opts());
+        assert_eq!(served(&svc, H0).0, "miss");
+        assert_eq!(served(&svc, H0).0, "value");
+        assert_eq!(served(&svc, FORALL).0, "miss");
+
+        // An update changes no lineage: both programs answer, bit-equal
+        // to a cold run.
+        svc.handle_line("update R 1 0.9");
+        for q in [H0, FORALL] {
+            assert_eq!(served(&svc, q), ("program".into(), fresh(&svc, q)), "{q}");
+        }
+
+        // An insert into a mentioned relation recompiles.
+        svc.handle_line("insert S 0 7 0.25");
+        for q in [H0, FORALL] {
+            assert_eq!(served(&svc, q).0, "miss", "{q}");
+        }
+
+        // An insert into an unmentioned relation that sorts first shifts
+        // every tuple id; the programs still answer, bit-equal.
+        svc.handle_line("insert A 1 0.5");
+        svc.handle_line("update T 2 0.15");
+        for q in [H0, FORALL] {
+            assert_eq!(served(&svc, q), ("program".into(), fresh(&svc, q)), "{q}");
+        }
+
+        // Growing the domain recompiles the ∀ sentence, whose lineage
+        // gains a clause per new constant, while the UCQ's program still
+        // answers.
+        svc.handle_line("domain 42");
+        svc.handle_line("update R 0 0.35");
+        assert_eq!(served(&svc, FORALL).0, "miss");
+        assert_eq!(served(&svc, H0), ("program".into(), fresh(&svc, H0)));
+
+        // Re-inserting a stored tuple only changes its probability.
+        let (_, before) = served(&svc, H0);
+        svc.handle_line("insert R 2 0.05");
+        let (hit, bits) = served(&svc, H0);
+        assert_eq!((hit.as_str(), bits), ("program", fresh(&svc, H0)));
+        assert_ne!(bits, before);
+
+        // Each stale entry was replaced in place.
+        assert_eq!(svc.cache_len(), 2);
+    }
+
+    #[test]
+    fn timed_out_and_oversized_programs_are_not_kept() {
+        // A query past its deadline caches nothing, so the repeat degrades
+        // again.
+        let svc = expired_h0_service();
+        for _ in 0..2 {
+            let answer = svc.query(H0).unwrap();
+            assert_eq!(answer.method, pdb_core::Method::Approximate);
+            assert_eq!(svc.cache_len(), 0);
+        }
+        assert_eq!(svc.stats().timeouts(), 2);
+
+        // A program over its share of the byte budget is dropped: the
+        // value is cached, and after an update the query recompiles.
+        let opts = ServiceOptions {
+            cache_capacity: PROGRAM_CACHE_BYTES / 256,
+            ..no_deadline_opts()
+        };
+        let svc = Service::new(h0_db(4), opts);
+        assert_eq!(svc.program_byte_cap(), 256);
+        assert_eq!(served(&svc, H0).0, "miss");
+        assert_eq!(served(&svc, H0).0, "value");
+        svc.handle_line("update R 1 0.9");
+        assert_eq!(served(&svc, H0), ("miss".into(), fresh(&svc, H0)));
+    }
+
+    #[test]
+    fn nothing_computed_before_a_snapshot_install_is_served_after_it() {
+        // Two histories whose stamps coincide: the same writes, so the same
+        // relation versions and counts, different probabilities.
+        let history = |p: f64| {
+            let mut db = h0_db(3);
+            db.update_prob("R", &pdb_data::Tuple::from([0]), p);
+            db
+        };
+        let image = |db: ProbDb| encode_snapshot(0, &db, &ViewManager::new().export_states());
+        let svc = Service::new(ProbDb::new(), no_deadline_opts());
+        svc.install_snapshot(&image(history(0.9))).unwrap();
+        // A query takes its snapshot, then the database is swapped under
+        // it before it caches what it computed.
+        let (old, generation) = svc.snapshot();
+        svc.install_snapshot(&image(history(0.1))).unwrap();
+        let key = (CacheKind::Probability, normalize_query(H0));
+        let stale = svc.compute(&old, generation, key, Instant::now()).unwrap();
+        assert_eq!(svc.cache_len(), 0, "a pre-install result is not cached");
+        let (hit, bits) = served(&svc, H0);
+        assert_eq!(hit, "miss");
+        assert_eq!(bits, fresh(&svc, H0));
+        assert_ne!(bits, stale.probability.to_bits());
     }
 
     #[test]
@@ -1753,7 +2030,7 @@ mod tests {
         assert!(resp.contains("query "), "{resp}");
         assert!(resp.contains("engine=Lifted"), "{resp}");
         assert!(resp.contains("parse "), "{resp}");
-        assert!(resp.contains("hit=false"), "{resp}");
+        assert!(resp.contains("hit=miss"), "{resp}");
         assert!(resp.contains("lifted "), "{resp}");
         // The same trace is served by `trace last`, in both renderings.
         let (last, _) = svc.handle_line("trace last");
@@ -1764,7 +2041,7 @@ mod tests {
         assert!(json.contains("\"cat\":\"cascade\""), "{json}");
         // A second explain hits the cache and says so in the tree.
         let (again, _) = svc.handle_line("explain analyze exists x. exists y. R(x) & S(x,y)");
-        assert!(again.contains("hit=true"), "{again}");
+        assert!(again.contains("hit=value"), "{again}");
     }
 
     #[test]

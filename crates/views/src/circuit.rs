@@ -17,6 +17,7 @@
 
 use pdb_compile::ddnnf::DdnnfNode;
 use pdb_compile::DecisionDnnf;
+use pdb_core::GroundedCircuit;
 use pdb_kernel::FlatProgram;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -71,8 +72,23 @@ impl IncrementalCircuit {
         // The one decision-DNNF lowering: the flat index is the
         // topological rank, and a malformed arena degrades to ⊥ rather than
         // panicking the request worker.
-        let program = dd.flatten();
+        IncrementalCircuit::lowered(dd, dd.flatten(), probs, negated, scale)
+    }
 
+    /// The cached circuit of a grounded compilation, reusing the program it
+    /// was already lowered to.
+    pub fn compiled(g: GroundedCircuit) -> IncrementalCircuit {
+        IncrementalCircuit::lowered(&g.circuit, g.program, g.leaf_probs, g.negated, g.scale)
+    }
+
+    /// [`IncrementalCircuit::new`] once `program = dd.flatten()` is known.
+    fn lowered(
+        dd: &DecisionDnnf,
+        program: FlatProgram,
+        probs: Vec<f64>,
+        negated: bool,
+        scale: f64,
+    ) -> IncrementalCircuit {
         // Reverse edges and per-variable gate lists, in flat index space.
         let mut parents: Vec<Vec<u32>> = vec![Vec::new(); program.len()];
         let mut var_gates: Vec<Vec<u32>> = vec![Vec::new(); probs.len()];
@@ -182,29 +198,6 @@ impl IncrementalCircuit {
     /// The Tseitin `2^aux` correction factor (for persistence).
     pub fn scale(&self) -> f64 {
         self.scale
-    }
-
-    /// A constant circuit (for lineages that simplify to ⊤/⊥); it has no
-    /// leaves, so [`IncrementalCircuit::set_prob`] is always a no-op.
-    pub fn constant(value: bool) -> IncrementalCircuit {
-        let node = if value {
-            DdnnfNode::True
-        } else {
-            DdnnfNode::False
-        };
-        let program = FlatProgram::constant(value);
-        IncrementalCircuit {
-            nodes: vec![node],
-            root: 0,
-            program,
-            probs: Vec::new(),
-            values: vec![if value { 1.0 } else { 0.0 }],
-            parents: vec![Vec::new()],
-            var_gates: Vec::new(),
-            negated: false,
-            scale: 1.0,
-            gates_recomputed: 0,
-        }
     }
 
     /// Changes one leaf probability and re-evaluates the dirty cone
@@ -454,8 +447,14 @@ mod tests {
 
     #[test]
     fn constant_circuits_are_inert() {
-        let mut t = IncrementalCircuit::constant(true);
-        let mut f = IncrementalCircuit::constant(false);
+        // What a lineage that simplifies to ⊤/⊥ compiles to: one node, no
+        // leaves.
+        let constant = |node| {
+            let dd = DecisionDnnf::new(vec![node], 0);
+            IncrementalCircuit::new(&dd, Vec::new(), false, 1.0)
+        };
+        let mut t = constant(DdnnfNode::True);
+        let mut f = constant(DdnnfNode::False);
         assert_eq!(t.probability(), 1.0);
         assert_eq!(f.probability(), 0.0);
         assert_eq!(t.set_prob(0, 0.3), 0);

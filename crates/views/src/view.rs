@@ -33,10 +33,8 @@
 
 use crate::circuit::IncrementalCircuit;
 use crate::persist::{CircuitState, RowState, ViewDefState, ViewState};
-use pdb_compile::DecisionDnnf;
 use pdb_core::{Answer, AnswerTuple, EngineError, Method, ProbDb, QueryOptions};
 use pdb_data::Tuple;
-use pdb_lineage::BoolExpr;
 use pdb_logic::{Cq, Fo, Term, Var};
 use pdb_wmc::DpllOptions;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -785,9 +783,10 @@ fn build_rows(opts: &ViewOptions, view: &mut View, db: &ProbDb) -> Result<(), En
     Ok(())
 }
 
-/// Compiles one answer row: lineage → DPLL trace ([`pdb_wmc::count_expr`],
-/// the engine's exact path) → cached circuit; falls back to the full
-/// cascade when the decision budget aborts the compilation.
+/// Compiles one answer row through the engine's grounded path
+/// ([`pdb_core::compile_grounded`]: lineage → traced DPLL → circuit) into a
+/// cached circuit; falls back to the full cascade when the decision budget
+/// aborts the compilation.
 fn compile_row(
     view_opts: &ViewOptions,
     fo: &Fo,
@@ -796,24 +795,15 @@ fn compile_row(
     index: &pdb_data::TupleIndex,
     probs: &[f64],
 ) -> Result<ViewRow, EngineError> {
-    let lineage = pdb_lineage::lineage(fo, db.tuple_db(), index);
-    let circuit = if let BoolExpr::Const(b) = lineage {
-        Some(IncrementalCircuit::constant(b))
-    } else {
-        let opts = DpllOptions {
-            record_trace: true,
-            max_decisions: view_opts.compile_budget,
-            ..Default::default()
-        };
-        // The engine's own exact count, asked for its trace (which makes
-        // it the sequential counter on this task; rows fan out above).
-        pdb_wmc::count_expr(&lineage, probs, opts, &pdb_par::current())
-            .trace
-            .map(|t| {
-                let dd = DecisionDnnf::from_trace(&t.trace);
-                IncrementalCircuit::new(&dd, t.leaf_probs, t.negated, t.scale)
-            })
+    let opts = DpllOptions {
+        max_decisions: view_opts.compile_budget,
+        ..Default::default()
     };
+    // A traced count is the sequential counter on this task; rows fan out
+    // above.
+    let circuit =
+        pdb_core::compile_grounded(fo, db.tuple_db(), index, probs, opts, &pdb_par::current())
+            .map(IncrementalCircuit::compiled);
     match circuit {
         Some(circuit) => Ok(ViewRow {
             values,

@@ -21,7 +21,12 @@
 //!     programs were produced or on how many threads), and
 //!   * batch sizes 1 / 7 / 64 (the batched entry point runs the same
 //!     per-node arithmetic per lane, so lane values cannot depend on how
-//!     many lanes share the instruction stream).
+//!     many lanes share the instruction stream), and
+//!   * the `query` route: a grounded answer is its compiled program's
+//!     evaluation, and the server re-evaluates that program after updates —
+//!     pinned to the bits DPLL's own count gave, and to a cold
+//!     `ProbDb::query_fo` after random histories, on a primary and on a
+//!     replica fed its WAL.
 
 use probdb::compile::ddnnf::DdnnfNode;
 use probdb::compile::{order, DecisionDnnf, Fbdd, Obdd};
@@ -29,13 +34,19 @@ use probdb::data::{generators, TupleDb};
 use probdb::kernel::FlatProgram;
 use probdb::lineage::{ucq_dnf_lineage, BoolExpr, Cnf};
 use probdb::logic::{parse_ucq, Var};
+use probdb::obs::{with_tracer, Tracer};
 use probdb::par::{with_pool, Pool};
+use probdb::replica::{Frame, ReplicaApply, ReplicaStatus};
+use probdb::server::{Service, ServiceOptions};
+use probdb::store::{MemFs, Store, StoreOptions};
 use probdb::views::{IncrementalCircuit, ViewDef, ViewManager, ViewOptions};
 use probdb::wmc::{monte_carlo, Dpll, DpllOptions};
 use probdb::{ProbDb, QueryOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+use std::time::Duration;
 
 const BATCH_SIZES: [usize; 3] = [1, 7, 64];
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
@@ -579,6 +590,172 @@ fn views_kind_batched_refresh_is_bit_identical() {
     invariant_under_pools(lifecycle);
 }
 
+// ------------------------------------------------------------ query route
+
+/// The three grounded encodings a `query` can take: H₀ (a monotone DNF,
+/// counted negated), H₀'s dual with `S` negated (CNF-shaped, counted
+/// directly) and H₀ with `T` negated (neither: Tseitin).
+const ROUTE_QUERIES: [&str; 3] = [
+    "exists x. exists y. R(x) & S(x,y) & T(y)",
+    "forall x. forall y. (R(x) | !S(x,y) | T(y))",
+    "exists x. exists y. R(x) & S(x,y) & !T(y)",
+];
+
+/// `ProbDb::query_fo`'s bits for [`ROUTE_QUERIES`] on the 4×4 bipartite
+/// instance of seeds 0–3, as DPLL's own count returned them before the
+/// grounded stage answered with its compiled program's evaluation.
+const ROUTE_BITS: [[u64; 3]; 4] = [
+    [0x3fe35fc8d7700919, 0x3fdb34b0b7a14dd3, 0x3fdfc067986b745c],
+    [0x3fe4873379732635, 0x3fc95aeebbd457a2, 0x3fead725e3c311fb],
+    [0x3fe6527666aa5de3, 0x3fcb9c0c86aeae54, 0x3fe619e364080384],
+    [0x3fe80b7e760a6a4c, 0x3fc6b93690cc0567, 0x3fea88e3ffb3d609],
+];
+
+/// A served grounded answer is the cold run's, bit for bit: the engine at
+/// every pool size, the server's first (compiling) answer, and its program
+/// re-evaluated after an update that moved the version but not the value.
+#[test]
+fn query_route_bits_are_pinned() {
+    for (seed, bits) in ROUTE_BITS.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let db = ProbDb::from_tuple_db(generators::bipartite(4, 0.8, (0.1, 0.9), &mut rng));
+        let r0 = db.tuple_db().prob("R", &probdb::data::Tuple::from([0]));
+        let svc = Service::new(
+            db.clone(),
+            ServiceOptions {
+                query_timeout: Duration::ZERO,
+                ..ServiceOptions::default()
+            },
+        );
+        for (q, &want) in ROUTE_QUERIES.iter().zip(bits) {
+            let fo = probdb::logic::parse_fo(q).unwrap();
+            let engine = invariant_under_pools(|| {
+                let a = db.query_fo(&fo, &QueryOptions::default()).unwrap();
+                (a.probability.to_bits(), a.method)
+            });
+            assert_eq!(engine, (want, probdb::Method::Grounded), "seed {seed} {q}");
+            assert_eq!(svc.query(q).unwrap().probability.to_bits(), want);
+        }
+        svc.handle_line(&format!("update R 0 {r0}"));
+        let hits = svc.stats().cache_hits();
+        for (q, &want) in ROUTE_QUERIES.iter().zip(bits) {
+            let served = svc.query(q).unwrap();
+            assert_eq!(
+                (served.probability.to_bits(), served.method),
+                (want, probdb::Method::Grounded),
+                "seed {seed} {q}"
+            );
+        }
+        assert_eq!(svc.stats().cache_hits(), hits + 3, "programs answered");
+    }
+}
+
+/// The histories ask [`ROUTE_QUERIES`] and H₀'s plain dual: the one of
+/// the four whose lineage grows when a constant joins the domain (in the
+/// others each instance over a new constant folds away).
+const HISTORY_QUERIES: [&str; 4] = [
+    ROUTE_QUERIES[0],
+    ROUTE_QUERIES[1],
+    ROUTE_QUERIES[2],
+    "forall x. forall y. (R(x) | S(x,y) | T(y))",
+];
+
+/// One step of a random history over the route fixture.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Ask [`HISTORY_QUERIES`]`[i]`.
+    Query(usize),
+    /// A protocol write line (`update`, `insert` or `domain`).
+    Write(String),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    (0u32..8, 0usize..4, 0u64..4, 0u64..4, 1u32..=9).prop_map(|(kind, rel, x, y, p)| {
+        // `A` sorts before every mentioned relation: inserting into it
+        // renumbers every tuple id the programs were compiled against.
+        let tuple = match rel {
+            0 => format!("R {x}"),
+            1 => format!("S {x} {y}"),
+            2 => format!("T {y}"),
+            _ => format!("A {x}"),
+        };
+        let p = f64::from(p) / 10.0;
+        match kind {
+            0..=3 => Step::Query(kind as usize),
+            4 => Step::Write(format!("update {tuple} {p}")),
+            5 | 6 => Step::Write(format!("insert {tuple} {p}")),
+            _ => Step::Write(format!("domain {}", 10 + x)),
+        }
+    })
+}
+
+/// Plays `steps` on a durable primary and a replica applying its WAL,
+/// checking every served answer against a cold `query_fo` on a clone of
+/// the snapshot it was served from.
+fn check_history(steps: &[Step], traced: bool) {
+    let (store, rec) = Store::open(
+        Arc::new(MemFs::new()),
+        std::path::Path::new("data"),
+        StoreOptions::default(),
+    )
+    .unwrap();
+    let opts = ServiceOptions {
+        query_timeout: Duration::ZERO,
+        ..ServiceOptions::default()
+    };
+    let primary = Service::with_store(rec.db, rec.views, store, opts.clone());
+    let replica = Service::new_replica("primary", Arc::new(ReplicaStatus::new()), opts);
+    let (frames, feed) = primary.replication_sync(0).unwrap();
+    let ship = |frame: Frame| match frame {
+        Frame::Snapshot(image) => {
+            ReplicaApply::install_snapshot(&replica, &image).unwrap();
+        }
+        Frame::Record { lsn, op } => replica.apply(lsn, &op).unwrap(),
+        _ => {}
+    };
+    frames.into_iter().for_each(ship);
+    // H₀ on three constants with half of S: inserts among them add
+    // lineage terms, inserts of a fourth constant grow the domain.
+    let mut fixture = Vec::new();
+    for a in 0..3u64 {
+        fixture.push(Step::Write(format!("insert R {a} 0.{}", 2 + a)));
+        fixture.push(Step::Write(format!("insert T {a} 0.{}", 7 - a)));
+        for b in (0..3u64).filter(|b| (a + b) % 2 == 0) {
+            fixture.push(Step::Write(format!("insert S {a} {b} 0.{}", 3 + a + b)));
+        }
+    }
+    for step in fixture.iter().chain(steps) {
+        match step {
+            Step::Write(line) => {
+                primary.handle_line(line);
+                while let Some(frame) = feed.try_recv().unwrap() {
+                    ship(frame);
+                }
+            }
+            Step::Query(i) => {
+                let q = HISTORY_QUERIES[*i];
+                let fo = probdb::logic::parse_fo(q).unwrap();
+                for (role, svc) in [("primary", &primary), ("replica", &replica)] {
+                    let served = if traced {
+                        with_tracer(&Tracer::new(), || svc.query(q))
+                    } else {
+                        svc.query(q)
+                    }
+                    .unwrap();
+                    let cold = ProbDb::clone(&svc.db_snapshot())
+                        .query_fo(&fo, &QueryOptions::default())
+                        .unwrap();
+                    assert_eq!(
+                        (served.probability.to_bits(), served.method),
+                        (cold.probability.to_bits(), cold.method),
+                        "{role} {q} after {steps:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------- proptest
 
 /// A random monotone DNF over `n` variables — the lineage shape the traced
@@ -664,6 +841,27 @@ proptest! {
                         "{} lane {} of {}", tag, k, lanes
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// After any history of updates, inserts (into mentioned relations
+    /// and into one that sorts first) and domain growth, every answer the
+    /// server serves — cold, from a cached value or from a re-evaluated
+    /// program — equals a cold `query_fo` on the same snapshot bit for
+    /// bit, on a primary and on a replica fed its WAL, at pools 1 and 4,
+    /// with spans recorded and without.
+    #[test]
+    fn served_answers_equal_cold_answers_bit_for_bit(
+        steps in prop::collection::vec(arb_step(), 8..32),
+    ) {
+        for threads in [1, 4] {
+            for traced in [false, true] {
+                with_pool(&Pool::new(threads), || check_history(&steps, traced));
             }
         }
     }
