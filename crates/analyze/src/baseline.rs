@@ -20,7 +20,7 @@
 //! contract lints (`U1`, `P1`, `S0`) cannot be grandfathered.
 
 /// Lints that may carry baseline entries.
-pub const BASELINABLE: &[&str] = &["A1", "B1", "F1", "D1", "L1"];
+pub const BASELINABLE: &[&str] = &["A1", "B1", "F1"];
 
 /// One parsed baseline line.
 #[derive(Clone, Debug)]

@@ -5,18 +5,16 @@
 //! structural model (`model`), a workspace symbol table and call graph
 //! (`resolve`, `graph`), a reachability framework (`reach`), per-file
 //! token lints (`lints`), and interprocedural lints on the call graph
-//! (`interproc`):
+//! (`interproc`). Each invariant has one check:
 //!
 //! | code | default | invariant |
 //! |------|---------|-----------|
-//! | `D1` | warn    | no hash-ordered iteration feeding FP accumulation or output |
 //! | `U1` | deny    | every `unsafe` carries a `// SAFETY:` audit comment |
-//! | `L1` | warn    | lock acquisition graph is acyclic; no guard held across blocking calls |
 //! | `P1` | deny    | no panic (unwrap/expect/macros/indexing) on the server request path |
 //! | `S0` | deny    | suppression comments carry a non-empty reason |
 //! | `A1` | warn    | no allocation reachable from the evaluation hot roots |
-//! | `B1` | warn    | no blocking call reachable from pool workers or the request loop |
-//! | `F1` | warn    | no float accumulation fed by hash or parallel operand order |
+//! | `B1` | warn    | no unbounded blocking reachable from pool workers or the request loop; an acyclic lock order; no guard held across a blocking call or pool submit |
+//! | `F1` | warn    | no float accumulation or formatted output fed by hash or parallel operand order |
 //! | `B0` | deny    | baseline entries parse and still match a finding |
 //!
 //! Findings can be waived in place with
@@ -80,7 +78,7 @@ pub struct Baselined {
 /// Analysis configuration.
 #[derive(Clone, Debug, Default)]
 pub struct Options {
-    /// Promote warn-level lints (D1, L1, A1, B1, F1) to deny.
+    /// Promote warn-level lints (A1, B1, F1) to deny.
     pub deny_all: bool,
     /// Run P1 on every file instead of only the request/durability paths
     /// (fixtures).
@@ -117,7 +115,7 @@ impl Report {
 }
 
 /// Lint codes accepted in suppression comments.
-const KNOWN_CODES: &[&str] = &["D1", "U1", "L1", "P1", "A1", "B1", "F1"];
+const KNOWN_CODES: &[&str] = &["U1", "P1", "A1", "B1", "F1"];
 
 /// Analyzes `(path, source)` pairs and produces a report.
 pub fn analyze_sources(sources: &[(String, String)], opts: &Options) -> Report {
@@ -422,10 +420,14 @@ mod tests {
 
     #[test]
     fn unknown_lint_code_is_a_finding() {
-        let src = "// pdb-lint: allow(Z9, reason = \"typo\")\nfn f() {}\n";
-        let r = run(src, &Options::default());
-        assert!(r.failed());
-        assert!(r.findings.iter().any(|f| f.lint == Lint::S0));
+        // Retired codes (D1 folded into F1, L1 into B1) are unknown too: a
+        // stale waiver must not silently waive nothing.
+        for code in ["Z9", "D1", "L1"] {
+            let src = format!("// pdb-lint: allow({code}, reason = \"typo\")\nfn f() {{}}\n");
+            let r = run(&src, &Options::default());
+            assert!(r.failed(), "{code}");
+            assert!(r.findings.iter().any(|f| f.lint == Lint::S0), "{code}");
+        }
     }
 
     #[test]
@@ -509,15 +511,18 @@ mod tests {
 
     #[test]
     fn malformed_baseline_entries_deny() {
-        let opts = Options {
-            baseline: Some((
-                "crates/analyze/baseline.txt".into(),
-                "A1 crates/a/src/lib.rs f v.clone()\n".into(),
-            )),
-            ..Options::default()
-        };
-        let r = run("fn quiet() {}\n", &opts);
-        assert!(r.failed());
-        assert!(r.findings.iter().any(|f| f.lint == Lint::B0));
+        // A missing reason, and a retired lint code (D1 is now F1).
+        for entry in [
+            "A1 crates/a/src/lib.rs f v.clone()\n",
+            "D1 crates/a/src/lib.rs f m.iter() -- sorted later\n",
+        ] {
+            let opts = Options {
+                baseline: Some(("crates/analyze/baseline.txt".into(), entry.into())),
+                ..Options::default()
+            };
+            let r = run("fn quiet() {}\n", &opts);
+            assert!(r.failed(), "{entry}");
+            assert!(r.findings.iter().any(|f| f.lint == Lint::B0), "{entry}");
+        }
     }
 }

@@ -11,7 +11,7 @@ use crate::lexer::Lexed;
 /// One parsed suppression comment.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Suppression {
-    /// The lint code being allowed (`D1`, `U1`, `L1`, `P1`).
+    /// The lint code being allowed (`U1`, `P1`, `A1`, `B1`, `F1`).
     pub code: String,
     /// The mandatory free-text justification.
     pub reason: String,
@@ -122,13 +122,13 @@ mod tests {
 
     #[test]
     fn parses_well_formed_suppressions() {
-        let lx = lex("// pdb-lint: allow(D1, reason = \"sorted three lines below\")\nlet x = 1;");
+        let lx = lex("// pdb-lint: allow(F1, reason = \"sorted three lines below\")\nlet x = 1;");
         let (good, bad) = collect(&lx);
         assert!(bad.is_empty());
         assert_eq!(
             good,
             vec![Suppression {
-                code: "D1".into(),
+                code: "F1".into(),
                 reason: "sorted three lines below".into(),
                 line: 1
             }]

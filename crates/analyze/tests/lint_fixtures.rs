@@ -34,23 +34,6 @@ fn lint_fixture(name: &str, extra: &[&str]) -> (String, i32) {
 }
 
 #[test]
-fn d1_bad_flags_both_sinks() {
-    let (json, code) = lint_fixture("d1_bad.rs", &[]);
-    assert_eq!(code, 1, "{json}");
-    assert!(json.contains("\"lint\":\"D1\""), "{json}");
-    assert!(json.contains("floating-point accumulation"), "{json}");
-    assert!(json.contains("formatted output"), "{json}");
-    assert!(json.contains("\"failed\":true"), "{json}");
-}
-
-#[test]
-fn d1_clean_passes() {
-    let (json, code) = lint_fixture("d1_clean.rs", &[]);
-    assert_eq!(code, 0, "{json}");
-    assert!(json.contains("\"findings\":[]"), "{json}");
-}
-
-#[test]
 fn u1_bad_flags_block_and_fn() {
     let (json, code) = lint_fixture("u1_bad.rs", &[]);
     assert_eq!(code, 1, "{json}");
@@ -62,27 +45,6 @@ fn u1_bad_flags_block_and_fn() {
 #[test]
 fn u1_clean_accepts_safety_comment_and_doc_section() {
     let (json, code) = lint_fixture("u1_clean.rs", &[]);
-    assert_eq!(code, 0, "{json}");
-    assert!(json.contains("\"findings\":[]"), "{json}");
-}
-
-#[test]
-fn l1_bad_flags_cycle_reentry_and_guard_across_send() {
-    let (json, code) = lint_fixture("l1_bad.rs", &[]);
-    assert_eq!(code, 1, "{json}");
-    assert!(json.contains("lock-order cycle"), "{json}");
-    assert!(json.contains("alpha"), "{json}");
-    assert!(json.contains("beta"), "{json}");
-    assert!(
-        json.contains("while a guard on it is already held"),
-        "{json}"
-    );
-    assert!(json.contains("held across `send`"), "{json}");
-}
-
-#[test]
-fn l1_clean_passes() {
-    let (json, code) = lint_fixture("l1_clean.rs", &[]);
     assert_eq!(code, 0, "{json}");
     assert!(json.contains("\"findings\":[]"), "{json}");
 }
@@ -145,10 +107,47 @@ fn b1_bad_traces_block_to_worker_root() {
     );
     assert!(json.contains("::worker_loop] -> "), "{json}");
     assert!(json.contains("::bump ("), "{json}");
+    // A `let`-bound guard held across a call to a closure parameter.
+    assert!(
+        json.contains("`slot.lock()` blocks inside `fn fill`"),
+        "{json}"
+    );
 }
 
 #[test]
-fn b1_clean_compute_only_worker_passes() {
+fn b1_lock_order_bad_flags_cycle_reentry_and_guards_across_send_and_scope() {
+    let (json, code) = lint_fixture("b1_lock_order_bad.rs", &[]);
+    assert_eq!(code, 1, "{json}");
+    assert!(json.contains("lock-order cycle"), "{json}");
+    assert!(json.contains("alpha"), "{json}");
+    assert!(json.contains("beta"), "{json}");
+    assert!(
+        json.contains("while a guard on it is already held"),
+        "{json}"
+    );
+    assert!(json.contains("held across `tx.send()`"), "{json}");
+    assert!(json.contains("held across `scope()`"), "{json}");
+    assert_eq!(json.matches("\"lint\":\"B1\"").count(), 4, "{json}");
+}
+
+#[test]
+fn b1_lock_order_clean_passes() {
+    let (json, code) = lint_fixture("b1_lock_order_clean.rs", &[]);
+    assert_eq!(code, 0, "{json}");
+    assert!(json.contains("\"findings\":[]"), "{json}");
+}
+
+#[test]
+fn b1_flags_a_cycle_whose_second_lock_is_two_calls_below_the_guard() {
+    let (json, code) = lint_fixture("b1_two_hop_cycle_bad.rs", &[]);
+    assert_eq!(code, 1, "{json}");
+    assert!(json.contains("\"lint\":\"B1\""), "{json}");
+    assert!(json.contains("lock-order cycle"), "{json}");
+    assert!(json.contains("via call to `helper`"), "{json}");
+}
+
+#[test]
+fn b1_clean_bounded_critical_sections_pass() {
     let (json, code) = lint_fixture("b1_clean.rs", &["--hot-everywhere"]);
     assert_eq!(code, 0, "{json}");
     assert!(json.contains("\"findings\":[]"), "{json}");
@@ -172,6 +171,28 @@ fn f1_bad_flags_hash_loop_reaching_float_accumulator() {
 #[test]
 fn f1_clean_sorted_iteration_passes() {
     let (json, code) = lint_fixture("f1_clean.rs", &["--hot-everywhere"]);
+    assert_eq!(code, 0, "{json}");
+    assert!(json.contains("\"findings\":[]"), "{json}");
+}
+
+#[test]
+fn f1_sinks_bad_flags_accumulation_and_output_in_the_hash_region() {
+    let (json, code) = lint_fixture("f1_sinks_bad.rs", &[]);
+    assert_eq!(code, 1, "{json}");
+    assert!(
+        json.contains("hash-ordered iteration over `weights` feeds floating-point accumulation"),
+        "{json}"
+    );
+    assert!(
+        json.contains("hash-ordered loop over `members` feeds formatted output"),
+        "{json}"
+    );
+    assert_eq!(json.matches("\"lint\":\"F1\"").count(), 2, "{json}");
+}
+
+#[test]
+fn f1_sinks_clean_passes() {
+    let (json, code) = lint_fixture("f1_sinks_clean.rs", &[]);
     assert_eq!(code, 0, "{json}");
     assert!(json.contains("\"findings\":[]"), "{json}");
 }

@@ -31,5 +31,5 @@ pub use hist::{bucket_upper_bound, AtomicHistogram, HistogramSnapshot, BUCKETS};
 pub use metrics::{Counter, ExpositionBuilder};
 pub use trace::{
     check_well_formed, span, tracing_enabled, with_tracer, AttrValue, SpanGuard, SpanRecord, Stage,
-    Tracer,
+    TraceContext, Tracer,
 };

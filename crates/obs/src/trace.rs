@@ -4,8 +4,9 @@
 //! plan/engine selection → compile → flatten → kernel eval / sampler chunks →
 //! cache, each span carrying wall time and stage-specific attributes. Spans
 //! are created with the free function [`span`], which consults a thread-local
-//! current tracer installed by [`with_tracer`]. A query runs start to finish
-//! on the thread that received it, so its span tree is built on one thread.
+//! current tracer installed by [`with_tracer`]. Work a query hands to the
+//! pool carries the tracer with it ([`TraceContext`]), so spans opened on a
+//! pool worker join the same tree under the span that submitted the work.
 //!
 //! Cost model: when no tracer is installed *anywhere in the process*, [`span`]
 //! is a single relaxed atomic load returning an inert guard — near-zero cost.
@@ -366,26 +367,67 @@ pub fn check_well_formed(records: &[SpanRecord]) -> Result<(), String> {
 /// into it. Nests: the previous tracer (if any) is restored afterwards, also
 /// on panic.
 pub fn with_tracer<R>(tracer: &Tracer, f: impl FnOnce() -> R) -> R {
+    let active = Active {
+        tracer: tracer.clone(),
+        stack: Vec::new(),
+    };
+    install(Some(active), f)
+}
+
+/// Runs `f` with `active` as this thread's tracing state, restoring the
+/// previous state afterwards (also on panic).
+fn install<R>(active: Option<Active>, f: impl FnOnce() -> R) -> R {
     struct Restore {
         prev: Option<Active>,
+        counted: bool,
     }
     impl Drop for Restore {
         fn drop(&mut self) {
             CURRENT.with(|c| {
                 *c.borrow_mut() = self.prev.take();
             });
-            ENABLED.fetch_sub(1, Ordering::Relaxed);
+            if self.counted {
+                ENABLED.fetch_sub(1, Ordering::Relaxed);
+            }
         }
     }
-    let prev = CURRENT.with(|c| {
-        c.borrow_mut().replace(Active {
-            tracer: tracer.clone(),
-            stack: Vec::new(),
-        })
-    });
-    ENABLED.fetch_add(1, Ordering::Relaxed);
-    let _restore = Restore { prev };
+    let counted = active.is_some();
+    let prev = CURRENT.with(|c| c.replace(active));
+    if counted {
+        ENABLED.fetch_add(1, Ordering::Relaxed);
+    }
+    let _restore = Restore { prev, counted };
     f()
+}
+
+/// A thread's tracing state — its tracer and innermost open span — carried
+/// to another thread, so that spans opened there join the same tree under
+/// that span. The pool carries one with every structured job submitted
+/// while tracing is enabled.
+pub struct TraceContext {
+    active: Option<Active>,
+}
+
+impl TraceContext {
+    /// Captures the current thread's tracer and innermost open span (or
+    /// their absence).
+    pub fn capture() -> TraceContext {
+        let active = CURRENT.with(|c| {
+            let c = c.borrow();
+            let a = c.as_ref()?;
+            let parent = a.stack.last().copied();
+            // pdb-lint: allow(A1, reason = "traced submits only: a handle clone, a one-span stack")
+            let (tracer, stack) = (a.tracer.clone(), parent.into_iter().collect());
+            Some(Active { tracer, stack })
+        });
+        TraceContext { active }
+    }
+
+    /// Runs `f` with the captured state installed on this thread, restoring
+    /// the thread's own state afterwards (also on panic).
+    pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
+        install(self.active, f)
+    }
 }
 
 /// Open a span for `stage`. If no tracer is installed on this thread the

@@ -382,7 +382,14 @@ impl Pool {
         // `Box<dyn FnOnce + Send>` do not depend on `'a`. The fn's own
         // contract (see `# Safety` above) guarantees the borrows behind `f`
         // stay live until `wait(latch)` drains the task.
-        let f: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(f) };
+        let mut f: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(f) };
+        // A task submitted under a tracer carries it and the open span, so
+        // spans it opens on a worker join the submitter's tree. An untraced
+        // submit pays one relaxed load and queues the same job as before.
+        if pdb_obs::tracing_enabled() {
+            let trace = pdb_obs::TraceContext::capture();
+            f = Box::new(move || trace.run(f));
+        }
         let job: Job = Box::new(move || {
             // Tasks inherit the pool they run on, so nested engine calls
             // (e.g. a DPLL inside a parallel answer row) reuse it instead of
@@ -471,7 +478,10 @@ impl Pool {
             self.spawn_erased(
                 &latch,
                 Box::new(|| {
-                    *slot.lock().unwrap() = Some(b());
+                    // The arm runs before the lock is taken: the critical
+                    // section is the store alone.
+                    let rb = b();
+                    *slot.lock().unwrap() = Some(rb);
                 }),
             );
         }
@@ -509,7 +519,8 @@ impl Pool {
                 self.spawn_erased(
                     &latch,
                     Box::new(move || {
-                        *slot.lock().unwrap() = Some(f(item));
+                        let r = f(item);
+                        *slot.lock().unwrap() = Some(r);
                     }),
                 );
             }

@@ -138,6 +138,36 @@ fn answers_rows_are_tracing_invariant() {
 }
 
 #[test]
+fn answers_rows_on_pool_workers_record_into_the_submitting_trace() {
+    // Every candidate row is a safe Boolean query, so each records one
+    // `lifted` span. Rows run on the pool; a job carries the submitter's
+    // tracer and open span, so a row that ran on a worker records under the
+    // root exactly like one the submitting thread ran itself. Enough rows
+    // that the worker, not only the helping submitter, runs some of them.
+    let db = test_db(40);
+    let cq = probdb::logic::parse_cq("R(x), S(x,y)").unwrap();
+    let head = [probdb::logic::Var::new("x")];
+    let pool = Pool::new(2);
+    let (rows, spans) = with_pool(&pool, || {
+        traced(|| db.query_answers(&cq, &head, &QueryOptions::default()))
+    });
+    let rows = rows.unwrap();
+    assert!(rows.len() > 1, "need several rows: {rows:?}");
+    let root = spans.iter().find(|r| r.stage == Stage::Query).unwrap();
+    let lifted: Vec<&SpanRecord> = spans.iter().filter(|r| r.stage == Stage::Lifted).collect();
+    assert_eq!(
+        lifted.len(),
+        rows.len(),
+        "one lifted span per row: {spans:?}"
+    );
+    assert!(
+        lifted.iter().all(|r| r.parent == Some(root.id)),
+        "{spans:?}"
+    );
+    check_well_formed(&spans).unwrap();
+}
+
+#[test]
 fn open_world_intervals_are_tracing_invariant() {
     let db = test_db(4);
     let fo = probdb::logic::parse_fo("exists x. exists y. R(x) & S(x,y)").unwrap();
