@@ -5,23 +5,25 @@
 //!
 //! [`compile_grounded`] is the one grounded path: ground → count with a
 //! trace ([`pdb_wmc::count_expr`]) → [`DecisionDnnf::from_trace`] →
-//! [`DecisionDnnf::flatten`]. [`crate::ProbDb::query_fo`] answers with the
-//! program's evaluation, and materialized views build their incremental
-//! circuits from the same artifact.
+//! [`DecisionDnnf::flatten`] → [`FlatProgram::compact_vars`]. Its result,
+//! a [`CompiledQuery`], is the only compiled form of a grounded lineage:
+//! [`crate::ProbDb::query_fo`] answers with its evaluation, the server's
+//! result cache keeps it, every materialized view row maintains one, and
+//! snapshots persist it.
 //!
-//! A [`CompiledQuery`] is that program kept for later: its leaves are
-//! addressed by `(relation, position)` rather than by the global tuple ids
-//! of the index it was grounded against, because an insert into any
-//! relation that sorts earlier renumbers every id after it. Relations are
-//! append-only (see [`pdb_data::Relation`]), so the program stays the
-//! query's circuit for as long as the counts of the relations it mentions
-//! — and `|DOM|`, when its lineage reads the domain
-//! ([`pdb_lineage::reads_domain`]) — are unchanged; it checks that itself
-//! before every evaluation. The DPLL run that recorded it read no
-//! probability to choose its branches (the most frequent variable, ties to
-//! the lowest id; renumbering keeps the ids' relative order), so a fresh
-//! run on such a state records the same circuit, and the kernel repeats
-//! its `p·hi + (1−p)·lo` and component products in the same order.
+//! A [`CompiledQuery`]'s leaves are addressed by `(relation, position)`
+//! rather than by the global tuple ids of the index it was grounded
+//! against, because an insert into any relation that sorts earlier
+//! renumbers every id after it. Relations are append-only (see
+//! [`pdb_data::Relation`]), so the program stays the query's circuit for as
+//! long as the counts of the relations it mentions — and `|DOM|`, when its
+//! lineage reads the domain ([`pdb_lineage::reads_domain`]) — are
+//! unchanged; it checks that itself before every evaluation. The DPLL run
+//! that recorded it read no probability to choose its branches (the most
+//! frequent variable, ties to the lowest id; renumbering keeps the ids'
+//! relative order), so a fresh run on such a state records the same
+//! circuit, and the kernel repeats its `p·hi + (1−p)·lo` and component
+//! products in the same order.
 
 use crate::ProbDb;
 use pdb_compile::ddnnf::DdnnfNode;
@@ -33,49 +35,10 @@ use pdb_logic::Fo;
 use pdb_wmc::DpllOptions;
 use std::time::Instant;
 
-/// A grounded query compiled once: the decision-DNNF its traced DPLL run
-/// recorded, over the variables of the [`TupleIndex`] it was grounded
-/// against (Tseitin auxiliaries numbered after them), and its flat program.
-#[derive(Clone, Debug)]
-pub struct GroundedCircuit {
-    /// The recorded circuit.
-    pub circuit: DecisionDnnf,
-    /// `circuit.flatten()`: the only evaluator of the circuit.
-    pub program: FlatProgram,
-    /// One probability per circuit variable (auxiliaries weigh 1/2).
-    pub leaf_probs: Vec<f64>,
-    /// The circuit computes the negated lineage (a monotone DNF is
-    /// counted by its negation).
-    pub negated: bool,
-    /// The Tseitin `2^aux` correction, `1.0` without auxiliaries.
-    pub scale: f64,
-}
-
-impl GroundedCircuit {
-    /// The query probability: the program evaluated under `leaf_probs`,
-    /// mapped back through the encoding exactly as
-    /// [`pdb_wmc::count_expr`] maps its count — so bit-identical to it.
-    pub fn probability(&self) -> f64 {
-        answer_of(
-            self.program.eval(&self.leaf_probs),
-            self.negated,
-            self.scale,
-        )
-    }
-}
-
-/// The count-to-probability map of [`pdb_wmc::count_expr`].
-fn answer_of(root: f64, negated: bool, scale: f64) -> f64 {
-    if negated {
-        1.0 - root
-    } else {
-        root * scale
-    }
-}
-
 /// Grounds `fo` over `db` (variables from `index`, whose probabilities are
 /// `probs`) and compiles its lineage: the traced exact count, read as a
-/// decision-DNNF and flattened. `None` when `options`' decision budget or
+/// decision-DNNF, flattened, and its leaves re-addressed to
+/// `(relation, position)`. `None` when `options`' decision budget or
 /// deadline stopped the count — or the deadline had passed once grounding
 /// was done. Emits the `compile` (grounding) and `ground` (counting and
 /// lowering) spans.
@@ -86,7 +49,7 @@ pub fn compile_grounded(
     probs: &[f64],
     options: DpllOptions,
     pool: &pdb_par::Pool,
-) -> Option<GroundedCircuit> {
+) -> Option<CompiledQuery> {
     let past_deadline = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() >= d);
     let lineage = {
         let mut span = pdb_obs::span(pdb_obs::Stage::Compile);
@@ -97,6 +60,15 @@ pub fn compile_grounded(
     if past_deadline(options.deadline) {
         return None;
     }
+    let relations: Vec<(String, usize)> = fo
+        .predicates()
+        .iter()
+        .map(|p| {
+            let count = db.relation(p.name()).map_or(0, Relation::len);
+            (p.name().to_string(), count)
+        })
+        .collect();
+    let domain = pdb_lineage::reads_domain(fo).then(|| db.domain().len());
     if let BoolExpr::Const(value) = lineage {
         // Nothing to count: a one-node circuit with no leaves.
         let node = if value {
@@ -104,11 +76,11 @@ pub fn compile_grounded(
         } else {
             DdnnfNode::False
         };
-        let circuit = DecisionDnnf::new(vec![node], 0);
-        return Some(GroundedCircuit {
-            program: circuit.flatten(),
-            circuit,
-            leaf_probs: Vec::new(),
+        return Some(CompiledQuery {
+            program: DecisionDnnf::new(vec![node], 0).flatten(),
+            relations,
+            domain,
+            leaves: Vec::new(),
             negated: false,
             scale: 1.0,
         });
@@ -127,40 +99,68 @@ pub fn compile_grounded(
         span.set_bool("deadline", true);
     }
     let t = count.trace?;
-    let circuit = DecisionDnnf::from_trace(&t.trace);
-    let program = circuit.flatten();
+    let mut program = DecisionDnnf::from_trace(&t.trace).flatten();
     span.set_u64("nodes", program.len() as u64);
     if let Some(before) = kernel_before {
         let after = pdb_kernel::stats();
         span.set_u64("kernel_evals", after.evals - before.evals);
         span.set_u64("kernel_bytes", after.eval_bytes - before.eval_bytes);
     }
-    Some(GroundedCircuit {
-        circuit,
+    let leaves = program
+        .compact_vars()
+        .into_iter()
+        .map(|var| {
+            if var as usize >= index.len() {
+                return Leaf::Aux;
+            }
+            // Only tuples of mentioned relations occur in the lineage.
+            let r = index.get(pdb_data::TupleId(var));
+            let relation = relations
+                .iter()
+                .position(|(name, _)| *name == r.relation)
+                .expect("a lineage reads only the relations its query mentions");
+            let position = db
+                .relation(&r.relation)
+                .and_then(|rel| rel.position(&r.tuple))
+                .expect("an indexed tuple is stored in its relation");
+            Leaf::Tuple {
+                relation: relation as u32,
+                position: position as u32,
+            }
+        })
+        .collect();
+    Some(CompiledQuery {
         program,
-        leaf_probs: t.leaf_probs,
+        relations,
+        domain,
+        leaves,
         negated: t.negated,
         scale: t.scale,
     })
 }
 
 /// Where a [`CompiledQuery`] reads one leaf's probability.
-#[derive(Clone, Copy, Debug)]
-enum Leaf {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Leaf {
     /// The tuple at `position` of relation `relation` (an index into
-    /// [`CompiledQuery`]'s mentioned relations).
-    Tuple { relation: u32, position: u32 },
+    /// [`CompiledQuery::relations`]).
+    Tuple {
+        /// Index into the mentioned relations.
+        relation: u32,
+        /// Insertion position within that relation.
+        position: u32,
+    },
     /// A Tseitin auxiliary: always 1/2.
     Aux,
 }
 
-/// A grounded query's program kept to answer the query again. It is valid
-/// for every later state of the database in which the relations the query
-/// mentions hold as many tuples as when it was compiled — the same tuples
-/// at the same positions, relations being append-only — and, when the
-/// lineage reads the domain, `|DOM|` is unchanged: there, evaluating it
+/// A grounded query compiled once, kept to answer the query again. It is
+/// valid for every later state of the database in which the relations the
+/// query mentions hold as many tuples as when it was compiled — the same
+/// tuples at the same positions, relations being append-only — and, when
+/// the lineage reads the domain, `|DOM|` is unchanged: there, evaluating it
 /// returns bit for bit what grounding and counting that state afresh
-/// would. Built by [`ProbDb::query_fo_compiled`].
+/// would. Built by [`compile_grounded`].
 #[derive(Clone, Debug)]
 pub struct CompiledQuery {
     /// The flat program, its variables renumbered densely.
@@ -173,58 +173,45 @@ pub struct CompiledQuery {
     domain: Option<usize>,
     /// `leaves[v]` says where variable `v` of `program` reads.
     leaves: Vec<Leaf>,
+    /// The program computes the negated lineage (a monotone DNF is counted
+    /// by its negation).
     negated: bool,
+    /// The Tseitin `2^aux` correction, `1.0` without auxiliaries.
     scale: f64,
 }
 
 impl CompiledQuery {
-    /// Keeps `g`, compiled for `fo` against `index` over `db`, with its
-    /// leaves re-addressed from tuple ids to `(relation, position)`.
-    pub(crate) fn new(
-        g: GroundedCircuit,
-        fo: &Fo,
-        index: &TupleIndex,
-        db: &TupleDb,
-    ) -> CompiledQuery {
-        let relations: Vec<(String, usize)> = fo
-            .predicates()
-            .iter()
-            .map(|p| {
-                let count = db.relation(p.name()).map_or(0, Relation::len);
-                (p.name().to_string(), count)
-            })
-            .collect();
-        let mut program = g.program;
-        let leaves = program
-            .compact_vars()
-            .into_iter()
-            .map(|var| {
-                if var as usize >= index.len() {
-                    return Leaf::Aux;
-                }
-                // Only tuples of mentioned relations occur in the lineage.
-                let r = index.get(pdb_data::TupleId(var));
-                let relation = relations
-                    .iter()
-                    .position(|(name, _)| *name == r.relation)
-                    .expect("a lineage reads only the relations its query mentions");
-                let position = db
-                    .relation(&r.relation)
-                    .and_then(|rel| rel.position(&r.tuple))
-                    .expect("an indexed tuple is stored in its relation");
-                Leaf::Tuple {
-                    relation: relation as u32,
-                    position: position as u32,
-                }
-            })
-            .collect();
-        CompiledQuery {
+    /// Reassembles a compiled query from its parts (a persisted view row).
+    /// `None` when the program reads a variable past the leaf table.
+    pub fn restore(
+        program: FlatProgram,
+        relations: Vec<(String, usize)>,
+        domain: Option<usize>,
+        leaves: Vec<Leaf>,
+        negated: bool,
+        scale: f64,
+    ) -> Option<CompiledQuery> {
+        (program.num_vars() <= leaves.len()).then_some(CompiledQuery {
             program,
             relations,
-            domain: pdb_lineage::reads_domain(fo).then(|| db.domain().len()),
+            domain,
             leaves,
-            negated: g.negated,
-            scale: g.scale,
+            negated,
+            scale,
+        })
+    }
+
+    /// A program without a leaf table: its variables index a probability
+    /// vector its caller keeps, so it is valid for no database state
+    /// ([`CompiledQuery::leaf_probs`] is `None`).
+    pub fn detached(program: FlatProgram, negated: bool, scale: f64) -> CompiledQuery {
+        CompiledQuery {
+            program,
+            relations: Vec::new(),
+            domain: None,
+            leaves: Vec::new(),
+            negated,
+            scale,
         }
     }
 
@@ -235,7 +222,9 @@ impl CompiledQuery {
     /// engine.
     pub fn leaf_probs(&self, db: &ProbDb) -> Option<Vec<f64>> {
         let db = db.tuple_db();
-        if self.domain.is_some_and(|n| db.domain().len() != n) {
+        if self.domain.is_some_and(|n| db.domain().len() != n)
+            || self.program.num_vars() > self.leaves.len()
+        {
             return None;
         }
         let relations = self
@@ -249,9 +238,11 @@ impl CompiledQuery {
         self.leaves
             .iter()
             .map(|leaf| match *leaf {
-                Leaf::Tuple { relation, position } => {
-                    relations[relation as usize]?.prob_at(position as usize)
-                }
+                Leaf::Tuple { relation, position } => relations
+                    .get(relation as usize)
+                    .copied()
+                    .flatten()?
+                    .prob_at(position as usize),
                 Leaf::Aux => Some(0.5),
             })
             .collect()
@@ -261,7 +252,47 @@ impl CompiledQuery {
     /// [`CompiledQuery::leaf_probs`]): one kernel pass, mapped back
     /// through the encoding.
     pub fn eval(&self, leaf_probs: &[f64]) -> f64 {
-        answer_of(self.program.eval(leaf_probs), self.negated, self.scale)
+        self.answer(self.program.eval(leaf_probs))
+    }
+
+    /// Maps the program's root value back through the encoding exactly as
+    /// [`pdb_wmc::count_expr`] maps its count.
+    pub fn answer(&self, root: f64) -> f64 {
+        if self.negated {
+            1.0 - root
+        } else {
+            root * self.scale
+        }
+    }
+
+    /// The flat program.
+    pub fn program(&self) -> &FlatProgram {
+        &self.program
+    }
+
+    /// The mentioned relations with their tuple counts at compile time.
+    pub fn relations(&self) -> &[(String, usize)] {
+        &self.relations
+    }
+
+    /// `|DOM|` at compile time, when the lineage reads the domain.
+    pub fn domain(&self) -> Option<usize> {
+        self.domain
+    }
+
+    /// Where each program variable reads.
+    pub fn leaves(&self) -> &[Leaf] {
+        &self.leaves
+    }
+
+    /// Whether the program computes the negated lineage.
+    pub fn negated(&self) -> bool {
+        self.negated
+    }
+
+    /// The Tseitin `2^aux` correction.
+    pub fn scale(&self) -> f64 {
+        self.scale
     }
 
     /// Number of program nodes.

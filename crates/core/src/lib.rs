@@ -25,7 +25,7 @@ use pdb_wmc::DpllOptions;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-pub use grounded::{compile_grounded, CompiledQuery, GroundedCircuit};
+pub use grounded::{compile_grounded, CompiledQuery, Leaf};
 pub use pdb_lifted::{classify_sjf_cq, classify_ucq, Complexity};
 
 mod grounded;
@@ -275,7 +275,7 @@ impl ProbDb {
 
     /// Answers a Boolean FO sentence with the full cascade.
     pub fn query_fo(&self, fo: &Fo, opts: &QueryOptions) -> Result<Answer, EngineError> {
-        self.cascade(fo, opts, false).map(|(answer, _)| answer)
+        self.query_fo_compiled(fo, opts).map(|(answer, _)| answer)
     }
 
     /// [`ProbDb::query_fo`], also handing back the compiled program when
@@ -288,16 +288,6 @@ impl ProbDb {
         &self,
         fo: &Fo,
         opts: &QueryOptions,
-    ) -> Result<(Answer, Option<CompiledQuery>), EngineError> {
-        self.cascade(fo, opts, true)
-    }
-
-    /// The cascade; `keep` asks for the grounded program.
-    fn cascade(
-        &self,
-        fo: &Fo,
-        opts: &QueryOptions,
-        keep: bool,
     ) -> Result<(Answer, Option<CompiledQuery>), EngineError> {
         if !fo.is_sentence() {
             return Err(EngineError::Unsupported(
@@ -331,12 +321,14 @@ impl ProbDb {
             ..Default::default()
         };
         let pool = pdb_par::current();
-        match grounded::compile_grounded(fo, &self.db, &index, &probs, dpll_opts, &pool) {
-            Some(g) => {
+        let compiled = grounded::compile_grounded(fo, &self.db, &index, &probs, dpll_opts, &pool)
+            .and_then(|program| Some((program.leaf_probs(self)?, program)));
+        match compiled {
+            Some((leaf_probs, program)) => {
                 let probability = {
                     let mut span = pdb_obs::span(pdb_obs::Stage::Eval);
-                    span.set_u64("nodes", g.program.len() as u64);
-                    g.probability()
+                    span.set_u64("nodes", program.len() as u64);
+                    program.eval(&leaf_probs)
                 };
                 let answer = Answer {
                     probability,
@@ -344,8 +336,7 @@ impl ProbDb {
                     bounds: None,
                     std_error: None,
                 };
-                let program = keep.then(|| CompiledQuery::new(g, fo, &index, &self.db));
-                return Ok((answer, program));
+                return Ok((answer, Some(program)));
             }
             // A stopped count is a stage boundary too: if the clock is past
             // the deadline now, that is what the run reports, whichever of

@@ -101,6 +101,11 @@ impl Relation {
         self.tuples.get(position).map(|&(_, p)| p)
     }
 
+    /// The tuple at `position` (insertion order), if there is one.
+    pub fn tuple_at(&self, position: usize) -> Option<&Tuple> {
+        self.tuples.get(position).map(|(t, _)| t)
+    }
+
     /// Iterates tuples with probabilities in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, f64)> {
         self.tuples.iter().map(|(t, p)| (t, *p))

@@ -61,6 +61,9 @@
 //! it. Nothing acquires the manager while holding the database lock, so
 //! there is no ordering cycle; the manager's version-sequenced events make
 //! the out-of-order window between mutation and delivery harmless.
+//! `view show` never takes the manager lock, so it never waits for a
+//! rebuild: before releasing the manager, every path that changes views
+//! re-renders their replies into `shown` (lock order: views → shown).
 //!
 //! ## Timeouts
 //!
@@ -89,7 +92,7 @@ use pdb_replica::{Frame, ReadOnlyReplica, ReplicaFeed, ReplicaHub, ReplicaStatus
 use pdb_store::snapshot::{decode_snapshot, encode_snapshot};
 use pdb_store::{Refused, Store, StoreError, WalOp};
 use pdb_views::ViewManager;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -290,6 +293,8 @@ struct Shared {
     generation: AtomicU64,
     cache: Mutex<LruCache<CacheKey, CacheEntry>>,
     views: Mutex<ViewManager>,
+    /// Every view's `view show` reply, as of the last released manager.
+    shown: RwLock<BTreeMap<String, String>>,
     stats: Stats,
     opts: ServiceOptions,
     /// The most recent captured trace (`explain analyze` or a slowlog hit).
@@ -313,6 +318,14 @@ struct Shared {
     /// Replica-side role: where the stream comes from and how it is doing.
     /// A service with this set refuses every write command.
     replica: Option<ReplicaRole>,
+}
+
+/// Every view's `view show` reply, by name.
+fn render_views(views: &ViewManager) -> BTreeMap<String, String> {
+    let replies = views
+        .iter()
+        .map(|v| (v.name().to_string(), format_view_show(v)));
+    replies.collect()
 }
 
 /// The replica role's identity + live status (rendered under `stats`).
@@ -394,6 +407,7 @@ impl Service {
                 db: RwLock::new(Arc::new(db)),
                 generation: AtomicU64::new(0),
                 cache: Mutex::new(LruCache::new(capacity)),
+                shown: RwLock::new(render_views(&views)),
                 views: Mutex::new(views),
                 stats: Stats::default(),
                 opts,
@@ -495,13 +509,16 @@ impl Service {
     /// recompiling. Returns the LSN the image was taken at.
     pub fn install_snapshot(&self, bytes: &[u8]) -> Result<u64, String> {
         let (lsn, db, states) = decode_snapshot(bytes).map_err(|e| e.to_string())?;
-        let views = ViewManager::import_states(states).map_err(|e| e.to_string())?;
+        let views = ViewManager::import_states(states, &db).map_err(|e| e.to_string())?;
         {
             let mut guard = write(&self.inner.db);
             *guard = Arc::new(db);
             self.inner.generation.fetch_add(1, Ordering::AcqRel);
         }
-        *lock(&self.inner.views) = views;
+        let mut guard = lock(&self.inner.views);
+        *guard = views;
+        *write(&self.inner.shown) = render_views(&guard);
+        drop(guard);
         // Cached results were computed against the pre-install history,
         // whose stamps the new one can repeat. The generation bump already
         // keeps them from being served, and a query still running on a
@@ -840,8 +857,22 @@ impl Service {
             (opts, self.db_snapshot())
         })?;
         let mut views = lock(&self.inner.views);
-        let created = event.deliver(&mut views, || self.db_snapshot())?;
-        Ok(created.map(format_view_created))
+        let created = event.deliver(&mut views, || self.db_snapshot());
+        let created = created.map(|view| view.map(format_view_created));
+        self.publish_views(&mut views);
+        created
+    }
+
+    /// Re-renders the `view show` replies of the views that changed since
+    /// the last call; run before releasing the manager.
+    fn publish_views(&self, views: &mut ViewManager) {
+        let mut shown = write(&self.inner.shown);
+        for name in views.take_changed() {
+            match views.get(&name) {
+                Some(view) => shown.insert(name, format_view_show(view)),
+                None => shown.remove(&name),
+            };
+        }
     }
 
     /// Executes a `view` subcommand. `create` and `drop` are mutations and
@@ -879,6 +910,7 @@ impl Service {
                         }
                     }
                 };
+                self.publish_views(&mut views);
                 self.inner.stats.record_view_refresh(start.elapsed());
                 out
             }
@@ -886,13 +918,10 @@ impl Service {
                 let views = lock(&self.inner.views);
                 format_view_list(views.iter())
             }
-            ViewCommand::Show { name } => {
-                let views = lock(&self.inner.views);
-                match views.get(&name) {
-                    Some(view) => format_view_show(view),
-                    None => format!("error: no view named {name}\n"),
-                }
-            }
+            ViewCommand::Show { name } => match read(&self.inner.shown).get(&name) {
+                Some(reply) => reply.clone(),
+                None => format!("error: no view named {name}\n"),
+            },
         }
     }
 
@@ -1373,6 +1402,32 @@ mod tests {
 
         let stats = svc.stats_text();
         assert!(stats.contains("incremental=1"), "{stats}");
+    }
+
+    #[test]
+    fn view_show_answers_while_the_manager_is_locked() {
+        let svc = seeded_service(no_deadline_opts());
+        svc.handle_line("view create v query exists x. exists y. R(x) & S(x,y)");
+        svc.handle_line("update S 1 2 0.4");
+        svc.handle_line("insert S 1 3 0.5");
+        // A refresh holds the manager lock for its whole rebuild; hold it
+        // the same way and ask from another thread.
+        svc.inspect_views(|views| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reader = svc.clone();
+            std::thread::spawn(move || tx.send(reader.handle_line("view show v").0));
+            let shown = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("`view show` waited for the manager lock");
+            assert!(shown.starts_with("(stale"), "{shown}");
+            assert_eq!(shown, format_view_show(views.get("v").unwrap()));
+        });
+        svc.handle_line("view refresh v");
+        let (shown, _) = svc.handle_line("view show v");
+        assert!(shown.contains("p = 0.350000"), "{shown}");
+        svc.handle_line("view drop v");
+        let (gone, _) = svc.handle_line("view show v");
+        assert_eq!(gone, "error: no view named v\n");
     }
 
     #[test]

@@ -76,7 +76,7 @@ enum Event<'a> {
     DomainExtend,
     /// `built_at`: the database version the view was built against.
     Install {
-        view: View,
+        view: Box<View>,
         built_at: u64,
     },
     Drop {
@@ -150,7 +150,10 @@ impl<'a> Pending<'a> {
                 let (opts, db) = build();
                 let view = ViewManager::compile(&opts, name, def, &db)?;
                 let built_at = db.version();
-                Event::Install { view, built_at }
+                Event::Install {
+                    view: Box::new(view),
+                    built_at,
+                }
             }
         }))
     }
@@ -178,7 +181,7 @@ impl ViewEvent<'_> {
             }
             Event::DomainExtend => views.on_domain_extend(),
             Event::Install { view, built_at } => {
-                return Ok(Some(views.install(view, built_at, &db())?))
+                return Ok(Some(views.install(*view, built_at, &db())?))
             }
             Event::Drop { name } => {
                 if !views.drop_view(name) {

@@ -3,38 +3,50 @@
 //! ## File format
 //!
 //! ```text
-//! snapshot := magic "PDBSNAP1" (8 bytes) · body · crc32 u32 (over body)
+//! snapshot := magic "PDBSNAP2" (8 bytes) · body · crc32 u32 (over body)
 //! body     := lsn u64 · probdb · views
 //! probdb   := relations · extra_domain u64s · versions (name,u64)s ·
 //!             domain_version u64
 //! relation := name str · arity u32 · tuples (constants u64×arity · prob f64)s
-//! views    := ViewState s (definition text, version vector, leaf index,
-//!             rows with their decision-DNNF circuits)
+//! views    := ViewState s (definition text, version vector, rows with
+//!             their compiled programs)
+//! program  := flat nodes (⊤, ⊥, decisions and products; children
+//!             first, root last) · mentioned relations (name str ·
+//!             count u64)s · domain u64? · leaves (aux | relation u32 ·
+//!             position u32, each with its prob f64)s · negated bool ·
+//!             scale f64
 //! ```
 //!
 //! Tuples are emitted in relation-name order and insertion order within a
-//! relation, so decoding rebuilds an identical [`TupleDb`] — including its
-//! [`TupleIndex`](pdb_data::TupleIndex) numbering, which the persisted view
-//! circuits' leaf variables refer to. Probabilities are stored as IEEE-754
-//! bit patterns: a snapshot round-trip is bit-identical, never "close".
+//! relation, so decoding rebuilds an identical [`TupleDb`] — the same
+//! tuples at the same positions, which is what the persisted programs'
+//! `(relation, position)` leaves refer to. Probabilities are stored as
+//! IEEE-754 bit patterns: a snapshot round-trip is bit-identical, never
+//! "close".
 //!
-//! The snapshot deliberately persists each view's **compiled circuit**, not
-//! just its definition — recovery resumes incremental maintenance instead
-//! of recompiling (the circuit is the artifact worth keeping; cf. Monet &
-//! Olteanu in PAPERS.md).
+//! The snapshot deliberately persists each view row's **compiled
+//! program**, not just the view's definition — recovery resumes
+//! incremental maintenance instead of recompiling (the circuit is the
+//! artifact worth keeping; cf. Monet & Olteanu in PAPERS.md). A program is
+//! rebuilt through [`FlatBuilder`], which rejects a forward or missing
+//! child reference; a node kind the decision-DNNF lowering never emits, a
+//! program reading past its leaf table, or an image of the older
+//! `PDBSNAP1` format (whose views carried decision-DNNF arenas over global
+//! tuple ids), is [`StoreError::Corrupt`] too.
 
 use crate::codec::{CodecError, Dec, Enc};
 use crate::crc::crc32;
 use crate::wal::{decode_view_def, encode_view_def};
 use crate::StoreError;
-use pdb_compile::ddnnf::DdnnfNode;
-use pdb_core::{Method, ProbDb};
+use pdb_core::{CompiledQuery, Leaf, Method, ProbDb};
 use pdb_data::{Tuple, TupleDb};
+use pdb_kernel::{FlatBuilder, FlatNode};
 use pdb_views::persist::{CircuitState, RowState, ViewState};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"PDBSNAP1";
+pub const SNAP_MAGIC: &[u8; 8] = b"PDBSNAP2";
 
 fn corrupt(e: CodecError) -> StoreError {
     StoreError::Corrupt {
@@ -136,77 +148,121 @@ fn method_from(tag: u8, at: usize) -> Result<Method, CodecError> {
 }
 
 fn encode_circuit(e: &mut Enc, c: &CircuitState) {
-    e.u32(c.nodes.len() as u32);
-    for node in &c.nodes {
+    let q = &c.query;
+    e.u32(q.program().len() as u32);
+    for node in q.program().iter() {
         match node {
-            DdnnfNode::True => e.u8(0),
-            DdnnfNode::False => e.u8(1),
-            DdnnfNode::Decision { var, hi, lo } => {
-                e.u8(2);
-                e.u32(*var);
-                e.u32(*hi);
-                e.u32(*lo);
+            FlatNode::False => e.u8(0),
+            FlatNode::True => e.u8(1),
+            FlatNode::Decision { var, hi, lo } => {
+                e.u8(4);
+                e.u32(var);
+                e.u32(hi);
+                e.u32(lo);
             }
-            DdnnfNode::And { children } => {
-                e.u8(3);
-                e.u32(children.len() as u32);
-                for &ch in children {
-                    e.u32(ch);
+            FlatNode::Mul(kids) => {
+                e.u8(5);
+                e.u32(kids.len() as u32);
+                for &k in kids {
+                    e.u32(k);
                 }
             }
+            // The decision-DNNF lowering never emits these, and a maintained
+            // row indexes only decision variables and product children:
+            // restore rejects the tag rather than resume a row it would
+            // maintain wrongly.
+            FlatNode::Leaf(_) | FlatNode::NegLeaf(_) | FlatNode::Add(_) => e.u8(u8::MAX),
         }
     }
-    e.u32(c.root);
-    e.u32(c.probs.len() as u32);
-    for &p in &c.probs {
+    e.u32(q.relations().len() as u32);
+    for (name, count) in q.relations() {
+        e.str(name);
+        e.u64(*count as u64);
+    }
+    e.bool(q.domain().is_some());
+    if let Some(n) = q.domain() {
+        e.u64(n as u64);
+    }
+    e.u32(q.leaves().len() as u32);
+    for (leaf, &p) in q.leaves().iter().zip(&c.probs) {
+        e.bool(*leaf != Leaf::Aux);
+        if let Leaf::Tuple { relation, position } = *leaf {
+            e.u32(relation);
+            e.u32(position);
+        }
         e.f64(p);
     }
-    e.bool(c.negated);
-    e.f64(c.scale);
+    e.bool(q.negated());
+    e.f64(q.scale());
 }
 
 fn decode_circuit(d: &mut Dec<'_>) -> Result<CircuitState, CodecError> {
-    let nnodes = d.seq_len(1, "circuit node count")?;
-    let mut nodes = Vec::with_capacity(nnodes);
+    let at = d.pos();
+    let nnodes = d.seq_len(1, "program node count")?;
+    let mut b = FlatBuilder::new();
     for _ in 0..nnodes {
         let at = d.pos();
-        let node = match d.u8("circuit node tag")? {
-            0 => DdnnfNode::True,
-            1 => DdnnfNode::False,
-            2 => DdnnfNode::Decision {
-                var: d.u32("decision var")?,
-                hi: d.u32("decision hi")?,
-                lo: d.u32("decision lo")?,
-            },
-            3 => {
-                let nch = d.seq_len(4, "and children")?;
-                let mut children = Vec::with_capacity(nch);
-                for _ in 0..nch {
-                    children.push(d.u32("and child")?);
-                }
-                DdnnfNode::And { children }
+        match d.u8("program node tag")? {
+            0 => b.push_const(false),
+            1 => b.push_const(true),
+            4 => {
+                let var = d.u32("decision var")?;
+                let hi = d.u32("decision hi")?;
+                b.push_decision(var, hi, d.u32("decision lo")?)
+            }
+            5 => {
+                let n = d.seq_len(4, "span length")?;
+                let kids = (0..n)
+                    .map(|_| d.u32("span child"))
+                    .collect::<Result<Vec<_>, _>>()?;
+                b.push_mul(&kids)
             }
             _ => {
                 return Err(CodecError {
                     at,
-                    what: "unknown circuit node tag",
+                    what: "unknown program node tag",
                 })
             }
         };
-        nodes.push(node);
     }
-    let root = d.u32("circuit root")?;
-    let nprobs = d.seq_len(8, "circuit prob count")?;
-    let mut probs = Vec::with_capacity(nprobs);
-    for _ in 0..nprobs {
-        probs.push(d.f64("circuit prob")?);
+    let program = b.finish().map_err(|_| CodecError {
+        at,
+        what: "row program is malformed",
+    })?;
+    let nrels = d.seq_len(12, "program relation count")?;
+    let mut relations = Vec::with_capacity(nrels);
+    for _ in 0..nrels {
+        let name = d.str("program relation")?;
+        relations.push((name, d.u64("program relation count")? as usize));
     }
+    let domain = match d.bool("program domain tag")? {
+        true => Some(d.u64("program domain")? as usize),
+        false => None,
+    };
+    let nleaves = d.seq_len(9, "leaf count")?;
+    let mut leaves = Vec::with_capacity(nleaves);
+    let mut probs = Vec::with_capacity(nleaves);
+    for _ in 0..nleaves {
+        leaves.push(match d.bool("leaf tag")? {
+            true => Leaf::Tuple {
+                relation: d.u32("leaf relation")?,
+                position: d.u32("leaf position")?,
+            },
+            false => Leaf::Aux,
+        });
+        probs.push(d.f64("leaf prob")?);
+    }
+    let negated = d.bool("program negated")?;
+    let scale = d.f64("program scale")?;
+    let query = CompiledQuery::restore(program, relations, domain, leaves, negated, scale).ok_or(
+        CodecError {
+            at,
+            what: "row program reads past its leaf table",
+        },
+    )?;
     Ok(CircuitState {
-        nodes,
-        root,
+        query: Arc::new(query),
         probs,
-        negated: d.bool("circuit negated")?,
-        scale: d.f64("circuit scale")?,
     })
 }
 
@@ -218,15 +274,6 @@ fn encode_view(e: &mut Enc, v: &ViewState) {
         e.str(name);
         e.u64(*ver);
     }
-    e.u32(v.leaves.len() as u32);
-    for (rel, tuple, var) in &v.leaves {
-        e.str(rel);
-        e.u32(tuple.values().len() as u32);
-        for &c in tuple.values() {
-            e.u64(c);
-        }
-        e.u32(*var);
-    }
     e.bool(v.stale);
     e.u64(v.rebuilds);
     e.u64(v.incremental_updates);
@@ -237,28 +284,21 @@ fn encode_view(e: &mut Enc, v: &ViewState) {
             e.u64(c);
         }
         e.f64(row.probability);
-        match row.bounds {
-            Some((lo, hi)) => {
-                e.u8(1);
-                e.f64(lo);
-                e.f64(hi);
-            }
-            None => e.u8(0),
+        e.bool(row.bounds.is_some());
+        if let Some((lo, hi)) = row.bounds {
+            e.f64(lo);
+            e.f64(hi);
         }
         e.u8(method_tag(row.method));
-        match &row.circuit {
-            Some(c) => {
-                e.u8(1);
-                encode_circuit(e, c);
-            }
-            None => e.u8(0),
+        e.bool(row.circuit.is_some());
+        if let Some(c) = &row.circuit {
+            encode_circuit(e, c);
         }
     }
 }
 
 fn decode_view(d: &mut Dec<'_>) -> Result<ViewState, CodecError> {
     let name = d.str("view name")?;
-    let at = d.pos();
     let def = decode_view_def(d)?;
     let napplied = d.seq_len(12, "applied count")?;
     let mut applied = Vec::with_capacity(napplied);
@@ -266,18 +306,6 @@ fn decode_view(d: &mut Dec<'_>) -> Result<ViewState, CodecError> {
         let rel = d.str("applied relation")?;
         let ver = d.u64("applied version")?;
         applied.push((rel, ver));
-    }
-    let nleaves = d.seq_len(12, "leaf count")?;
-    let mut leaves = Vec::with_capacity(nleaves);
-    for _ in 0..nleaves {
-        let rel = d.str("leaf relation")?;
-        let arity = d.seq_len(8, "leaf tuple")?;
-        let mut vals = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            vals.push(d.u64("leaf constant")?);
-        }
-        let var = d.u32("leaf var")?;
-        leaves.push((rel, Tuple::new(vals), var));
     }
     let stale = d.bool("view stale")?;
     let rebuilds = d.u64("view rebuilds")?;
@@ -291,27 +319,15 @@ fn decode_view(d: &mut Dec<'_>) -> Result<ViewState, CodecError> {
             values.push(d.u64("row constant")?);
         }
         let probability = d.f64("row prob")?;
-        let bounds = match d.u8("row bounds tag")? {
-            0 => None,
-            1 => Some((d.f64("row lower")?, d.f64("row upper")?)),
-            _ => {
-                return Err(CodecError {
-                    at,
-                    what: "unknown bounds tag",
-                })
-            }
+        let bounds = match d.bool("row bounds tag")? {
+            true => Some((d.f64("row lower")?, d.f64("row upper")?)),
+            false => None,
         };
         let mat = d.pos();
         let method = method_from(d.u8("row method")?, mat)?;
-        let circuit = match d.u8("row circuit tag")? {
-            0 => None,
-            1 => Some(decode_circuit(d)?),
-            _ => {
-                return Err(CodecError {
-                    at,
-                    what: "unknown circuit tag",
-                })
-            }
+        let circuit = match d.bool("row program tag")? {
+            true => Some(decode_circuit(d)?),
+            false => None,
         };
         rows.push(RowState {
             values,
@@ -325,7 +341,6 @@ fn decode_view(d: &mut Dec<'_>) -> Result<ViewState, CodecError> {
         name,
         def,
         applied,
-        leaves,
         stale,
         rebuilds,
         incremental_updates,
@@ -448,7 +463,7 @@ mod tests {
             db2.tuple_db().prob("R", &t).to_bits(),
             db.tuple_db().prob("R", &t).to_bits()
         );
-        let views2 = ViewManager::import_states(states).unwrap();
+        let mut views2 = ViewManager::import_states(states, &db2).unwrap();
         assert_eq!(views2.len(), 2);
         assert_eq!(views2.recompiles(), 0);
         for (orig, back) in views.iter().zip(views2.iter()) {
@@ -457,6 +472,122 @@ mod tests {
                 assert_eq!(r1.probability.to_bits(), r2.probability.to_bits());
             }
         }
+        // The restored state re-encodes to the same bytes.
+        assert_eq!(encode_snapshot(17, &db2, &views2.export_states()), bytes);
+        // Restored rows keep absorbing updates, without recompiling.
+        let mut db2 = db2;
+        let t = Tuple::from([2]);
+        let ver = db2.update_prob("R", &t, 0.15).unwrap();
+        assert_eq!(views2.on_update_prob("R", &t, 0.15, ver), 2);
+        assert_eq!(views2.recompiles(), 0);
+        let got = views2.get("v").unwrap().boolean_answer().unwrap();
+        let want = db2.query("exists x. exists y. R(x) & S(x,y)").unwrap();
+        assert!((got.probability - want.probability).abs() < 1e-12);
+    }
+
+    /// The image of `db` and `views` with its last view's last row program
+    /// replaced by the bytes `program` (that program ends the body).
+    fn with_program(db: &ProbDb, views: &[ViewState], program: &[u8]) -> Vec<u8> {
+        let last = views.last().and_then(|v| v.rows.last()?.circuit.as_ref());
+        let mut own = Enc::new();
+        encode_circuit(&mut own, last.unwrap());
+        let image = encode_snapshot(0, db, views);
+        let mut body = image[8..image.len() - 4 - own.len()].to_vec();
+        body.extend_from_slice(program);
+        let mut out = SNAP_MAGIC.to_vec();
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out
+    }
+
+    /// A program deciding `var` between ⊤ (node 0) and ⊥ (node 1), whose
+    /// one leaf reads position `position` of `R`.
+    fn program(var: u32, hi: u32, position: u32) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u32(3);
+        e.u8(1);
+        e.u8(0);
+        e.u8(4);
+        e.u32(var);
+        e.u32(hi);
+        e.u32(1);
+        e.u32(1);
+        e.str("R");
+        e.u64(2);
+        e.u8(0);
+        e.u32(1);
+        e.u8(1);
+        e.u32(0);
+        e.u32(position);
+        e.f64(0.5);
+        e.bool(false);
+        e.f64(1.0);
+        e.into_bytes()
+    }
+
+    fn corrupt(bytes: &[u8]) -> String {
+        match decode_snapshot(bytes) {
+            Err(StoreError::Corrupt { what }) => what,
+            other => panic!("expected a corrupt image, got {:?}", other.map(|r| r.0)),
+        }
+    }
+
+    #[test]
+    fn malformed_view_programs_are_typed_errors() {
+        let (db, views) = sample_state();
+        let states = views.export_states();
+        // The hand-written program restores: the failures below are its
+        // defects, not the harness's.
+        let (_, db2, ok) = decode_snapshot(&with_program(&db, &states, &program(0, 0, 1))).unwrap();
+        let restored = ViewManager::import_states(ok, &db2).unwrap();
+        assert_eq!(restored.get("v").unwrap().rows()[0].probability, 0.5);
+        // An image of the previous format.
+        let mut old = encode_snapshot(0, &db, &states);
+        old[..8].copy_from_slice(b"PDBSNAP1");
+        assert_eq!(corrupt(&old), "bad snapshot magic");
+        // A forward child reference.
+        let forward = with_program(&db, &states, &program(0, 5, 1));
+        assert!(corrupt(&forward).contains("row program is malformed"));
+        // A leaf variable beyond the leaf table.
+        let beyond = with_program(&db, &states, &program(1, 0, 1));
+        assert!(corrupt(&beyond).contains("reads past its leaf table"));
+        // A positive or negative literal, or a disjoint sum: node kinds the
+        // decision-DNNF lowering never emits and a restored row could not
+        // maintain.
+        for tag in [2, 3, 6] {
+            let mut other = program(0, 0, 1);
+            other[6] = tag;
+            let image = with_program(&db, &states, &other);
+            assert!(corrupt(&image).contains("unknown program node tag"));
+        }
+        // A leaf position past its relation's end: decodes, then the
+        // import resolves it against the image's own database.
+        let past = with_program(&db, &states, &program(0, 0, 2));
+        let (_, db2, states2) = decode_snapshot(&past).unwrap();
+        assert!(matches!(
+            ViewManager::import_states(states2, &db2),
+            Err(pdb_core::EngineError::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn views_share_of_a_snapshot_ignores_relations_they_do_not_read() {
+        let share = |db: &ProbDb| {
+            let mut views = ViewManager::new();
+            for (name, def) in [
+                ("v", ViewDef::boolean("exists x. exists y. R(x) & S(x,y)")),
+                ("a", ViewDef::answers(&["x".into()], "R(x), S(x,y)")),
+            ] {
+                views.create(name, def.unwrap(), db).unwrap();
+            }
+            encode_snapshot(0, db, &views.export_states()).len() - encode_snapshot(0, db, &[]).len()
+        };
+        let (db, _) = sample_state();
+        let mut wider = db.clone();
+        for i in 0..1000u64 {
+            wider.insert("Unread", [100 + i], 0.5);
+        }
+        assert_eq!(share(&wider), share(&db));
     }
 
     #[test]

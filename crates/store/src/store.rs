@@ -8,7 +8,7 @@
 //! 3. Truncate any torn/corrupt tail ([`crate::wal::read_wal`]).
 //! 4. If `base_lsn > 0`, load `snapshot-<base_lsn>.pdb` (checksummed);
 //!    its embedded LSN must equal `base_lsn`. Views resume from their
-//!    persisted circuits — no recompilation.
+//!    persisted programs — no recompilation.
 //! 5. Replay the WAL records through [`crate::apply::apply_op`].
 //! 6. Delete snapshots other than `base_lsn` (leftovers of checkpoints
 //!    that crashed between their two renames).
@@ -103,7 +103,7 @@ pub struct RecoveryInfo {
 pub struct Recovered {
     /// The database at the end of the logged prefix.
     pub db: ProbDb,
-    /// The views, resumed from their persisted circuits.
+    /// The views, resumed from their persisted programs.
     pub views: ViewManager,
     /// Recovery details (for logs and tests).
     pub info: RecoveryInfo,
@@ -179,7 +179,8 @@ impl Store {
                     ),
                 });
             }
-            (db, ViewManager::import_states(states)?)
+            let views = ViewManager::import_states(states, &db)?;
+            (db, views)
         };
         // 5. Replay the logged prefix.
         let mut replayed_ops = 0;

@@ -1,51 +1,40 @@
-//! An arithmetic circuit over a decision-DNNF with **cached gate values**.
+//! A compiled query with **cached gate values**.
 //!
 //! A flat evaluation is a full forward pass — the right tool for a one-shot
 //! WMC, wasteful when the same circuit is re-evaluated after every
-//! tuple-probability change. This module lowers the circuit once at
-//! construction through [`DecisionDnnf::flatten`] — gate index =
-//! topological rank, evaluation a non-recursive forward pass — and keeps
-//! the per-gate values of the last evaluation. On [`set_prob`] it
-//! re-evaluates only the **dirty cone**: the decision gates on the changed
-//! variable and, transitively, any parent whose value actually moved. For
-//! the balanced circuits produced by DPLL with components (§7, eqs.
-//! (11)–(13)) that is O(depth) gates per update instead of O(size) — the
-//! asymptotic gap that makes materialized views cheaper to maintain than to
-//! recompute.
+//! tuple-probability change. An [`IncrementalCircuit`] is a row's
+//! [`CompiledQuery`] — the flat program [`pdb_core::compile_grounded`]
+//! produced, gate index = topological rank — plus the per-gate values of
+//! the last evaluation, all sized by the row's own leaves. On [`set_prob`]
+//! it re-evaluates only the **dirty cone**: the decision gates on the
+//! changed variable and, transitively, any parent whose value actually
+//! moved. For the balanced circuits produced by DPLL with components (§7,
+//! eqs. (11)–(13)) that is O(depth) gates per update instead of O(size) —
+//! the asymptotic gap that makes materialized views cheaper to maintain
+//! than to recompute.
 //!
 //! [`set_prob`]: IncrementalCircuit::set_prob
 
-use pdb_compile::ddnnf::DdnnfNode;
 use pdb_compile::DecisionDnnf;
-use pdb_core::GroundedCircuit;
-use pdb_kernel::FlatProgram;
+use pdb_core::CompiledQuery;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-/// A decision-DNNF flattened into a kernel program with cached gate values
-/// and parent pointers, supporting incremental re-evaluation.
+/// A compiled query with cached gate values and parent pointers,
+/// supporting incremental re-evaluation.
 ///
-/// The original node arena is kept verbatim for persistence (`nodes()` /
-/// `root()` round-trip through the store unchanged); all evaluation state —
-/// values, parents, per-variable gate lists — lives in **flat index space**,
-/// where a gate's index *is* its topological rank.
-///
-/// The circuit may have been produced by any of the three CNF encodings used
-/// by the engine; `negated` and `scale` record how to map the root value
-/// back to the query probability (see [`IncrementalCircuit::probability`]):
-///
-/// * monotone-DNF lineage is counted **negated** (`P(Q) = 1 − root`),
-/// * a Tseitin encoding adds auxiliary variables of weight ½ and needs a
-///   `2^aux` correction (`P(Q) = scale · root`).
+/// The query's program is persisted as is (its flat nodes and leaf table);
+/// all evaluation state — values, parents, per-variable gate lists — lives
+/// in **flat index space**, where a gate's index *is* its topological rank.
+/// The query records how its root value maps back to the query probability
+/// ([`CompiledQuery::answer`]): a monotone-DNF lineage is counted
+/// **negated**, and a Tseitin encoding needs a `2^aux` correction.
 #[derive(Clone, Debug)]
 pub struct IncrementalCircuit {
-    /// The persisted gate arena (unchanged on-disk format).
-    nodes: Vec<DdnnfNode>,
-    root: u32,
-    /// The reachable sub-DAG lowered into a flat kernel program; the flat
-    /// node order is the DFS post-order, so index = topological rank.
-    program: FlatProgram,
-    /// Leaf probabilities, indexed by circuit variable.
+    /// The compiled query: flat program, leaf table and encoding.
+    query: Arc<CompiledQuery>,
+    /// Leaf probabilities, indexed by program variable.
     probs: Vec<f64>,
     /// Cached value of every flat gate (index = flat index).
     values: Vec<f64>,
@@ -54,41 +43,33 @@ pub struct IncrementalCircuit {
     parents: Vec<Vec<u32>>,
     /// `var_gates[v]` lists the flat decision gates on variable `v`.
     var_gates: Vec<Vec<u32>>,
-    negated: bool,
-    scale: f64,
-    gates_recomputed: u64,
 }
 
 impl IncrementalCircuit {
-    /// Builds the cached circuit from a compiled decision-DNNF and the leaf
+    /// Builds the cached circuit from a decision-DNNF and the leaf
     /// probabilities (`probs[v]` for circuit variable `v`; Tseitin auxiliary
-    /// variables, if any, must already be present at weight ½).
+    /// variables, if any, must already be present at weight ½). The program
+    /// keeps the circuit's variables, so [`IncrementalCircuit::set_prob`]
+    /// takes them too.
     pub fn new(
         dd: &DecisionDnnf,
         probs: Vec<f64>,
         negated: bool,
         scale: f64,
     ) -> IncrementalCircuit {
-        // The one decision-DNNF lowering: the flat index is the
-        // topological rank, and a malformed arena degrades to ⊥ rather than
-        // panicking the request worker.
-        IncrementalCircuit::lowered(dd, dd.flatten(), probs, negated, scale)
+        // The one decision-DNNF lowering: a malformed arena degrades to ⊥
+        // rather than panicking the request worker.
+        let query = CompiledQuery::detached(dd.flatten(), negated, scale);
+        IncrementalCircuit::compiled(Arc::new(query), probs)
     }
 
-    /// The cached circuit of a grounded compilation, reusing the program it
-    /// was already lowered to.
-    pub fn compiled(g: GroundedCircuit) -> IncrementalCircuit {
-        IncrementalCircuit::lowered(&g.circuit, g.program, g.leaf_probs, g.negated, g.scale)
-    }
-
-    /// [`IncrementalCircuit::new`] once `program = dd.flatten()` is known.
-    fn lowered(
-        dd: &DecisionDnnf,
-        program: FlatProgram,
-        probs: Vec<f64>,
-        negated: bool,
-        scale: f64,
-    ) -> IncrementalCircuit {
+    /// The cached circuit of a compiled query under `probs`, one per
+    /// program variable (from [`CompiledQuery::leaf_probs`] or a snapshot).
+    /// Gate values are computed here, never trusted from disk: the forward
+    /// pass is deterministic, so a restored row's probability is bit for bit
+    /// the saved one.
+    pub fn compiled(query: Arc<CompiledQuery>, probs: Vec<f64>) -> IncrementalCircuit {
+        let program = query.program();
         // Reverse edges and per-variable gate lists, in flat index space.
         let mut parents: Vec<Vec<u32>> = vec![Vec::new(); program.len()];
         let mut var_gates: Vec<Vec<u32>> = vec![Vec::new(); probs.len()];
@@ -124,80 +105,23 @@ impl IncrementalCircuit {
         program.eval_into(&probs, &mut values);
 
         IncrementalCircuit {
-            nodes: dd.nodes().to_vec(),
-            root: dd.root(),
-            program,
+            query,
             probs,
             values,
             parents,
             var_gates,
-            negated,
-            scale,
-            gates_recomputed: 0,
         }
     }
 
-    /// Rebuilds a circuit from persisted parts (the inverse of the
-    /// [`nodes`](IncrementalCircuit::nodes) / [`root`](IncrementalCircuit::root)
-    /// / [`probs`](IncrementalCircuit::probs) accessors). Gate values are
-    /// **recomputed**, not trusted from disk — `eval_gate` is deterministic
-    /// f64 arithmetic over the same post-order, so the resulting cached
-    /// values (and [`IncrementalCircuit::probability`]) are bit-identical to
-    /// the instance that was saved.
-    ///
-    /// Returns `None` when the parts are not a well-formed circuit: the root
-    /// or a child index out of bounds, or an edge that does not point
-    /// strictly downward (`child < parent` holds for every trace-built
-    /// decision-DNNF and rules out cycles, which would hang construction).
-    pub fn from_parts(
-        nodes: Vec<DdnnfNode>,
-        root: u32,
-        probs: Vec<f64>,
-        negated: bool,
-        scale: f64,
-    ) -> Option<IncrementalCircuit> {
-        if nodes.is_empty() || root as usize >= nodes.len() {
-            return None;
-        }
-        for (i, node) in nodes.iter().enumerate() {
-            let ok = match node {
-                DdnnfNode::True | DdnnfNode::False => true,
-                DdnnfNode::Decision { hi, lo, .. } => (*hi as usize) < i && (*lo as usize) < i,
-                DdnnfNode::And { children } => children.iter().all(|&c| (c as usize) < i),
-            };
-            if !ok {
-                return None;
-            }
-        }
-        let dd = DecisionDnnf::new(nodes, root);
-        Some(IncrementalCircuit::new(&dd, probs, negated, scale))
+    /// The compiled query (for persistence and leaf indexing).
+    pub fn query(&self) -> &Arc<CompiledQuery> {
+        &self.query
     }
 
-    /// The gate arena (for persistence).
-    pub fn nodes(&self) -> &[DdnnfNode] {
-        &self.nodes
-    }
-
-    /// The root gate index (for persistence).
-    pub fn root(&self) -> u32 {
-        self.root
-    }
-
-    /// The current leaf probabilities, indexed by circuit variable (for
+    /// The current leaf probabilities, indexed by program variable (for
     /// persistence).
     pub fn probs(&self) -> &[f64] {
         &self.probs
-    }
-
-    /// Whether the root counts the **negation** of the query (for
-    /// persistence).
-    pub fn negated(&self) -> bool {
-        self.negated
-    }
-
-    /// The Tseitin `2^aux` correction factor (for persistence).
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 
     /// Changes one leaf probability and re-evaluates the dirty cone
@@ -211,8 +135,9 @@ impl IncrementalCircuit {
             Some(slot) if *slot != p => *slot = p,
             _ => return 0,
         }
+        let program = self.query.program();
         let mut heap: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
-        let mut queued = vec![false; self.program.len()];
+        let mut queued = vec![false; program.len()];
         for &g in self.var_gates.get(v).map(Vec::as_slice).unwrap_or_default() {
             if let Some(q) = queued.get_mut(g as usize) {
                 *q = true;
@@ -221,7 +146,7 @@ impl IncrementalCircuit {
         }
         let mut recomputed = 0;
         while let Some(Reverse(g)) = heap.pop() {
-            let new = self.program.eval_node(g, &self.probs, &self.values);
+            let new = program.eval_node(g, &self.probs, &self.values);
             recomputed += 1;
             // Checked accesses degrade (P1 surface): a gate index outside
             // the value table — impossible for a builder-sealed program —
@@ -250,36 +175,19 @@ impl IncrementalCircuit {
                 }
             }
         }
-        self.gates_recomputed += recomputed as u64;
-        recomputed as usize
+        recomputed
     }
 
     /// The query probability implied by the cached root value (undoing the
     /// encoding's negation / Tseitin scale).
     pub fn probability(&self) -> f64 {
-        let root = self.values.last().copied().unwrap_or(0.0);
-        let p = root * self.scale;
-        if self.negated {
-            1.0 - p
-        } else {
-            p
-        }
+        self.query
+            .answer(self.values.last().copied().unwrap_or(0.0))
     }
 
-    /// The current probability of a leaf variable.
-    pub fn prob_of(&self, var: u32) -> Option<f64> {
-        self.probs.get(var as usize).copied()
-    }
-
-    /// Number of gates in the arena (reachable size may be smaller).
+    /// Number of gates in the program.
     pub fn size(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Total gates recomputed by every [`IncrementalCircuit::set_prob`] so
-    /// far (observability: incremental work vs. circuit size).
-    pub fn gates_recomputed(&self) -> u64 {
-        self.gates_recomputed
+        self.query.len()
     }
 }
 
@@ -287,6 +195,7 @@ impl IncrementalCircuit {
 mod tests {
     use super::*;
     use pdb_data::TupleId;
+    use pdb_kernel::FlatProgram;
     use pdb_lineage::{BoolExpr, Cnf};
     use pdb_num::assert_close;
     use pdb_wmc::{brute, Dpll, DpllOptions};
@@ -335,12 +244,13 @@ mod tests {
         let mut c = compile(&f, &probs);
         // A deterministic walk of single-leaf updates.
         let updates = [(0u32, 0.9), (3, 0.05), (0, 0.3), (2, 0.999), (1, 0.0)];
+        let mut recomputed = 0;
         for (var, p) in updates {
             probs[var as usize] = p;
-            c.set_prob(var, p);
+            recomputed += c.set_prob(var, p);
             assert_close(c.probability(), brute::expr_probability(&f, &probs), 1e-12);
         }
-        assert!(c.gates_recomputed() > 0);
+        assert!(recomputed > 0);
     }
 
     #[test]
@@ -380,84 +290,19 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_bit_identically() {
-        let f = BoolExpr::or_all([
-            BoolExpr::and_all([v(0), v(1)]),
-            BoolExpr::and_all([v(1), v(2)]),
-        ]);
-        let probs = [0.3, 0.6, 0.8];
-        let mut c = compile(&f, &probs);
-        c.set_prob(1, 0.17);
-        let restored = IncrementalCircuit::from_parts(
-            c.nodes().to_vec(),
-            c.root(),
-            c.probs().to_vec(),
-            c.negated(),
-            c.scale(),
-        )
-        .unwrap();
-        // Recomputed values must be *bit-identical*, not merely close: the
-        // durability contract promises exact pre-crash probabilities.
-        assert_eq!(c.probability().to_bits(), restored.probability().to_bits());
-        assert_eq!(c.prob_of(1), restored.prob_of(1));
-    }
-
-    #[test]
-    fn from_parts_rejects_malformed_circuits() {
-        // Root out of bounds.
-        assert!(
-            IncrementalCircuit::from_parts(vec![DdnnfNode::True], 7, vec![], false, 1.0).is_none()
-        );
-        // Upward edge (would cycle / hang construction).
-        let nodes = vec![
-            DdnnfNode::True,
-            DdnnfNode::Decision {
-                var: 0,
-                hi: 2,
-                lo: 0,
-            },
-            DdnnfNode::Decision {
-                var: 1,
-                hi: 1,
-                lo: 0,
-            },
-        ];
-        assert!(IncrementalCircuit::from_parts(nodes, 2, vec![0.5, 0.5], false, 1.0).is_none());
-        // Empty arena.
-        assert!(IncrementalCircuit::from_parts(vec![], 0, vec![], false, 1.0).is_none());
-    }
-
-    #[test]
-    fn new_degrades_a_dangling_child_to_false() {
-        // `from_parts` rejects this arena; `new` must still not panic.
-        let nodes = vec![
-            DdnnfNode::True,
-            DdnnfNode::Decision {
-                var: 0,
-                hi: 0,
-                lo: 5,
-            },
-        ];
-        let dd = DecisionDnnf::new(nodes, 1);
-        let mut c = IncrementalCircuit::new(&dd, vec![0.5], false, 1.0);
-        assert_eq!(c.probability(), 0.0);
-        assert_eq!(c.set_prob(0, 0.25), 0);
-        assert_eq!(c.size(), 2);
-    }
-
-    #[test]
     fn constant_circuits_are_inert() {
-        // What a lineage that simplifies to ⊤/⊥ compiles to: one node, no
-        // leaves.
-        let constant = |node| {
-            let dd = DecisionDnnf::new(vec![node], 0);
-            IncrementalCircuit::new(&dd, Vec::new(), false, 1.0)
+        // What a lineage that simplifies to ⊤/⊥ compiles to — and what a
+        // malformed decision-DNNF lowers to: one node, no leaves.
+        let constant = |value, probs| {
+            let query = CompiledQuery::detached(FlatProgram::constant(value), false, 1.0);
+            IncrementalCircuit::compiled(Arc::new(query), probs)
         };
-        let mut t = constant(DdnnfNode::True);
-        let mut f = constant(DdnnfNode::False);
+        let mut t = constant(true, Vec::new());
+        let mut f = constant(false, vec![0.5]);
         assert_eq!(t.probability(), 1.0);
         assert_eq!(f.probability(), 0.0);
         assert_eq!(t.set_prob(0, 0.3), 0);
         assert_eq!(f.set_prob(0, 0.3), 0);
+        assert_eq!(f.size(), 1);
     }
 }

@@ -112,6 +112,27 @@ mod tests {
     }
 
     #[test]
+    fn updates_to_tuples_no_row_reads_are_absorbed_in_place() {
+        let mut db = fig1_like_db();
+        // No `S` partner: no row's lineage reads `R(5)`.
+        db.insert("R", [5], 0.4);
+        let mut views = ViewManager::new();
+        let def = ViewDef::answers(&["x".into()], "R(x), S(x,y)").unwrap();
+        views.create("per_x", def, &db).unwrap();
+        let bits = |views: &ViewManager| -> Vec<u64> {
+            let rows = views.get("per_x").unwrap().rows();
+            rows.iter().map(|r| r.probability.to_bits()).collect()
+        };
+        let before = bits(&views);
+        let t = Tuple::from([5]);
+        let version = db.update_prob("R", &t, 0.9).unwrap();
+        assert_eq!(views.on_update_prob("R", &t, 0.9, version), 1);
+        assert!(!views.get("per_x").unwrap().is_stale());
+        assert_eq!(bits(&views), before);
+        assert_eq!(views.recompiles(), 1, "never rebuilt");
+    }
+
+    #[test]
     fn inserts_stale_only_views_that_mention_the_relation() {
         let mut db = fig1_like_db();
         let mut views = ViewManager::new();
@@ -150,6 +171,40 @@ mod tests {
             fresh_probability(&db, "exists x. T(x)"),
             1e-12,
         );
+    }
+
+    #[test]
+    fn take_changed_names_exactly_the_views_a_change_touched() {
+        let mut db = fig1_like_db();
+        let mut views = ViewManager::new();
+        let q = "exists x. exists y. R(x) & S(x,y)";
+        views
+            .create("rs", ViewDef::boolean(q).unwrap(), &db)
+            .unwrap();
+        views
+            .create("t", ViewDef::boolean("exists x. T(x)").unwrap(), &db)
+            .unwrap();
+        let changed =
+            |views: &mut ViewManager| -> Vec<String> { views.take_changed().into_iter().collect() };
+        assert_eq!(changed(&mut views), ["rs", "t"]);
+        assert!(changed(&mut views).is_empty());
+
+        let t = Tuple::from([9]);
+        let version = db.update_prob("T", &t, 0.9).unwrap();
+        views.on_update_prob("T", &t, 0.9, version);
+        assert_eq!(changed(&mut views), ["t"]);
+        views.on_update_prob("T", &t, 0.9, version);
+        assert!(changed(&mut views).is_empty(), "a duplicate");
+
+        db.insert("R", [3], 0.4);
+        views.on_insert("R", db.relation_version("R"));
+        assert_eq!(changed(&mut views), ["rs"]);
+        assert_eq!(views.refresh("t", &db).unwrap(), RefreshOutcome::Fresh);
+        assert!(changed(&mut views).is_empty());
+        assert_eq!(views.refresh("rs", &db).unwrap(), RefreshOutcome::Rebuilt);
+        assert_eq!(changed(&mut views), ["rs"]);
+        assert!(views.drop_view("t"));
+        assert_eq!(changed(&mut views), ["t"]);
     }
 
     #[test]
@@ -407,7 +462,7 @@ mod tests {
         let version = db.update_prob("S", &t, 0.35).unwrap();
         views.on_update_prob("S", &t, 0.35, version);
 
-        let restored = ViewManager::import_states(views.export_states()).unwrap();
+        let restored = ViewManager::import_states(views.export_states(), &db).unwrap();
         assert_eq!(restored.len(), views.len());
         assert_eq!(restored.recompiles(), 0, "restore must not recompile");
         for (orig, back) in views.iter().zip(restored.iter()) {

@@ -1,40 +1,36 @@
 //! Plain-data snapshots of materialized views, for persistence.
 //!
 //! A durable store (see `pdb-store`) must save not just view *definitions*
-//! but the expensive artifact behind them: the compiled decision-DNNF
-//! circuits (cf. Monet & Olteanu — the circuit, not the query, is what is
-//! worth keeping). These types are the flattened, owner-free form of a
-//! [`View`](crate::View): every field is public data with deterministic
-//! ordering, so a byte codec living in another crate can serialize them
-//! without reaching into view internals.
+//! but the expensive artifact behind them: each row's compiled program
+//! (cf. Monet & Olteanu — the circuit, not the query, is what is worth
+//! keeping). A row persists its [`CompiledQuery`] — the flat program and
+//! its `(relation, position)` leaf table — with its current leaf
+//! probabilities; nothing in a view state names a tuple id or a tuple the
+//! rows do not read. These types are the owner-free form of a
+//! [`View`](crate::View), with deterministic ordering, so a byte codec
+//! living in another crate can serialize them without reaching into view
+//! internals.
 //!
 //! Round-trip contract: [`crate::ViewManager::export_states`] followed by
-//! [`crate::ViewManager::import_states`] yields views whose materialized
-//! probabilities are **bit-identical** to the originals (circuit gate values
-//! are recomputed deterministically, never trusted from disk) and whose
-//! maintenance state (`applied` version vectors, staleness, leaf index)
-//! resumes exactly where the exported manager stopped — no recompilation.
+//! [`crate::ViewManager::import_states`] over the same database yields
+//! views whose materialized probabilities are **bit-identical** to the
+//! originals (gate values are recomputed deterministically, never trusted
+//! from disk) and whose maintenance state (`applied` version vectors,
+//! staleness) resumes exactly where the exported manager stopped: views
+//! resume from their programs, with no recompilation.
 
-use pdb_compile::ddnnf::DdnnfNode;
-use pdb_core::Method;
-use pdb_data::Tuple;
+use pdb_core::{CompiledQuery, Method};
+use std::sync::Arc;
 
 /// The persistent parts of one [`IncrementalCircuit`](crate::IncrementalCircuit):
-/// gate arena, root, current leaf probabilities, and the encoding correction
-/// (`negated` / Tseitin `scale`). Cached gate values are deliberately absent —
-/// they are recomputed on restore.
+/// its compiled query and current leaf probabilities. Cached gate values
+/// are deliberately absent — they are recomputed on restore.
 #[derive(Clone, Debug)]
 pub struct CircuitState {
-    /// The gate arena (children strictly precede parents).
-    pub nodes: Vec<DdnnfNode>,
-    /// Root gate index.
-    pub root: u32,
-    /// Leaf probabilities, indexed by circuit variable.
+    /// The row's program, leaf table and encoding correction.
+    pub query: Arc<CompiledQuery>,
+    /// Leaf probabilities, one per entry of the leaf table.
     pub probs: Vec<f64>,
-    /// Whether the root counts the negation of the query.
-    pub negated: bool,
-    /// Tseitin `2^aux` correction factor.
-    pub scale: f64,
 }
 
 /// A view definition in re-parseable textual form.
@@ -77,9 +73,6 @@ pub struct ViewState {
     pub def: ViewDefState,
     /// Per-relation versions the materialization reflects, in name order.
     pub applied: Vec<(String, u64)>,
-    /// The build snapshot's tuple→circuit-variable index, sorted by
-    /// `(relation, tuple)` so exports are deterministic.
-    pub leaves: Vec<(String, Tuple, u32)>,
     /// Whether the materialization lags the database.
     pub stale: bool,
     /// Full rebuilds so far.

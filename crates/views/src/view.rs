@@ -2,12 +2,14 @@
 //!
 //! A **view** is a registered query whose answer is kept materialized. At
 //! build time every answer row is compiled into an [`IncrementalCircuit`]
-//! (lineage → CNF → DPLL trace → decision-DNNF, the §7 pipeline) together
-//! with a tuple→leaf index, so a later probability update is absorbed by
-//! re-evaluating the dirty path of the circuit — not by re-running the
-//! query. When the compilation budget is exhausted the row falls back to
-//! the full [`pdb_core::ProbDb::query_fo`] cascade (plan-based dissociation
-//! bounds / Karp–Luby) and is refreshed by re-querying.
+//! over the row's [`pdb_core::CompiledQuery`] (lineage → CNF → DPLL trace →
+//! decision-DNNF → flat program, the §7 pipeline), and the view indexes
+//! the tuples its rows read, so a later probability update is absorbed by
+//! re-evaluating the dirty path of each reading row's circuit — not by
+//! re-running the query; an update to a tuple no row reads costs nothing.
+//! When the compilation budget is exhausted the row falls back to the full
+//! [`pdb_core::ProbDb::query_fo`] cascade (plan-based dissociation bounds /
+//! Karp–Luby) and is refreshed by re-querying.
 //!
 //! ## Maintenance protocol
 //!
@@ -33,7 +35,7 @@
 
 use crate::circuit::IncrementalCircuit;
 use crate::persist::{CircuitState, RowState, ViewDefState, ViewState};
-use pdb_core::{Answer, AnswerTuple, EngineError, Method, ProbDb, QueryOptions};
+use pdb_core::{Answer, AnswerTuple, EngineError, Leaf, Method, ProbDb, QueryOptions};
 use pdb_data::Tuple;
 use pdb_logic::{Cq, Fo, Term, Var};
 use pdb_wmc::DpllOptions;
@@ -175,8 +177,9 @@ pub struct View {
     /// Per-relation versions this view's materialization reflects (build
     /// snapshot versions, advanced by each incrementally applied update).
     applied: BTreeMap<String, u64>,
-    /// Shared tuple→circuit-variable index of the build snapshot.
-    leaves: Arc<HashMap<(String, Tuple), u32>>,
+    /// The tuples the rows' circuits read, each with its `(row, program
+    /// variable)` readers.
+    readers: Readers,
     rows: Vec<ViewRow>,
     stale: bool,
     rebuilds: u64,
@@ -246,7 +249,6 @@ impl View {
     }
 
     /// Flattens the view into its persistent form (see [`crate::persist`]).
-    /// The leaf index is emitted sorted so exports are byte-deterministic.
     pub fn to_state(&self) -> ViewState {
         let def = match &self.def {
             ViewDef::Boolean { text, .. } => ViewDefState::Boolean(text.clone()),
@@ -255,12 +257,6 @@ impl View {
                 body: text.clone(),
             },
         };
-        let mut leaves: Vec<(String, Tuple, u32)> = self
-            .leaves
-            .iter()
-            .map(|((r, t), &var)| (r.clone(), t.clone(), var))
-            .collect();
-        leaves.sort();
         let rows = self
             .rows
             .iter()
@@ -271,11 +267,8 @@ impl View {
                 method: row.method,
                 circuit: match &row.backend {
                     RowBackend::Circuit(c) => Some(CircuitState {
-                        nodes: c.nodes().to_vec(),
-                        root: c.root(),
+                        query: Arc::clone(c.query()),
                         probs: c.probs().to_vec(),
-                        negated: c.negated(),
-                        scale: c.scale(),
                     }),
                     RowBackend::Fallback => None,
                 },
@@ -285,7 +278,6 @@ impl View {
             name: self.name.clone(),
             def,
             applied: self.applied.iter().map(|(r, &v)| (r.clone(), v)).collect(),
-            leaves,
             stale: self.stale,
             rebuilds: self.rebuilds,
             incremental_updates: self.incremental_updates,
@@ -293,35 +285,32 @@ impl View {
         }
     }
 
-    /// Reconstructs a view from its persistent form. The definition is
-    /// re-parsed from text; circuit rows are rebuilt through the validated
-    /// [`IncrementalCircuit::from_parts`] path, which recomputes gate values
-    /// deterministically — the restored probabilities are bit-identical to
-    /// the exported ones. No query compilation happens here.
-    pub fn from_state(state: ViewState) -> Result<View, EngineError> {
+    /// Reconstructs a view from its persistent form over `db`, the database
+    /// the state was saved with. The definition is re-parsed from text;
+    /// circuit rows resume from their programs
+    /// ([`IncrementalCircuit::compiled`] recomputes gate values
+    /// deterministically, so the restored probabilities are bit-identical
+    /// to the exported ones), and their leaf positions are resolved against
+    /// `db`. No query compilation happens here.
+    pub fn from_state(state: ViewState, db: &ProbDb) -> Result<View, EngineError> {
         let def = match &state.def {
             ViewDefState::Boolean(text) => ViewDef::boolean(text)?,
             ViewDefState::Answers { head, body } => ViewDef::answers(head, body)?,
         };
         let relations = def.relations();
         let domain_sensitive = def.domain_sensitive();
-        let mut leaf_vars: HashMap<(String, Tuple), u32> =
-            HashMap::with_capacity(state.leaves.len());
-        for (r, t, var) in state.leaves {
-            leaf_vars.insert((r, t), var);
-        }
         let mut rows = Vec::with_capacity(state.rows.len());
         for row in state.rows {
             let backend = match row.circuit {
-                Some(c) => RowBackend::Circuit(Box::new(
-                    IncrementalCircuit::from_parts(c.nodes, c.root, c.probs, c.negated, c.scale)
-                        .ok_or_else(|| {
-                            EngineError::Unsupported(format!(
-                                "view {}: persisted circuit is malformed",
-                                state.name
-                            ))
-                        })?,
-                )),
+                Some(c) if c.probs.len() == c.query.leaves().len() => {
+                    RowBackend::Circuit(Box::new(IncrementalCircuit::compiled(c.query, c.probs)))
+                }
+                Some(_) => {
+                    return Err(EngineError::Unsupported(format!(
+                        "view {}: a persisted row's probabilities do not match its leaves",
+                        state.name
+                    )))
+                }
                 None => RowBackend::Fallback,
             };
             let probability = match &backend {
@@ -337,12 +326,12 @@ impl View {
             });
         }
         Ok(View {
+            readers: readers(&state.name, &rows, db)?,
             name: state.name,
             def,
             relations,
             domain_sensitive,
             applied: state.applied.into_iter().collect(),
-            leaves: Arc::new(leaf_vars),
             rows,
             stale: state.stale,
             rebuilds: state.rebuilds,
@@ -406,6 +395,8 @@ pub struct ViewManager {
     opts: ViewOptions,
     incremental_applied: u64,
     recompiles: u64,
+    /// Views installed, changed or dropped since the last `take_changed`.
+    changed: BTreeSet<String>,
 }
 
 impl ViewManager {
@@ -447,6 +438,12 @@ impl ViewManager {
         self.recompiles
     }
 
+    /// The names of the views installed, changed (rows, staleness or
+    /// version vector) or dropped since the last call.
+    pub fn take_changed(&mut self) -> BTreeSet<String> {
+        std::mem::take(&mut self.changed)
+    }
+
     /// Looks up a view.
     pub fn get(&self, name: &str) -> Option<&View> {
         self.views.get(name)
@@ -463,30 +460,20 @@ impl ViewManager {
         self.views.values().map(View::to_state).collect()
     }
 
-    /// Rebuilds a manager from exported states with default options.
-    /// Restored circuits count as neither recompiles nor incremental
-    /// updates — the manager counters start at zero, so a caller can assert
-    /// that recovery performed no compilation by checking
-    /// [`ViewManager::recompiles`] afterwards.
-    pub fn import_states(states: Vec<ViewState>) -> Result<ViewManager, EngineError> {
-        ViewManager::import_states_with(states, ViewOptions::default())
-    }
-
-    /// [`ViewManager::import_states`] with explicit options.
-    pub fn import_states_with(
-        states: Vec<ViewState>,
-        opts: ViewOptions,
-    ) -> Result<ViewManager, EngineError> {
+    /// Rebuilds a manager with default options from states exported with
+    /// `db` (see [`View::from_state`]). Restored circuits count as neither
+    /// recompiles nor incremental updates — the manager counters start at
+    /// zero, so a caller can assert that recovery performed no compilation
+    /// by checking [`ViewManager::recompiles`] afterwards.
+    pub fn import_states(states: Vec<ViewState>, db: &ProbDb) -> Result<ViewManager, EngineError> {
         let mut views = BTreeMap::new();
         for state in states {
-            let view = View::from_state(state)?;
+            let view = View::from_state(state, db)?;
             views.insert(view.name.clone(), view);
         }
         Ok(ViewManager {
             views,
-            opts,
-            incremental_applied: 0,
-            recompiles: 0,
+            ..ViewManager::default()
         })
     }
 
@@ -532,7 +519,7 @@ impl ViewManager {
             domain_sensitive: def.domain_sensitive(),
             def,
             applied: BTreeMap::new(),
-            leaves: Arc::new(HashMap::new()),
+            readers: Readers::new(),
             rows: Vec::new(),
             stale: false,
             rebuilds: 0,
@@ -564,11 +551,13 @@ impl ViewManager {
         }
         self.recompiles += 1;
         let name = view.name.clone();
+        self.changed.insert(name.clone());
         Ok(self.views.entry(name).or_insert(view))
     }
 
     /// Unregisters a view. Returns `false` when it does not exist.
     pub fn drop_view(&mut self, name: &str) -> bool {
+        self.changed.insert(name.to_string());
         self.views.remove(name).is_some()
     }
 
@@ -592,6 +581,7 @@ impl ViewManager {
             if new_version <= recorded {
                 continue; // duplicate / already reflected by a rebuild
             }
+            self.changed.insert(view.name.clone());
             if new_version > recorded + 1 {
                 view.stale = true; // missed events
                 continue;
@@ -600,23 +590,26 @@ impl ViewManager {
             if view.stale {
                 continue; // rows are already invalid; refresh will rebuild
             }
-            let mut ok = true;
-            if let Some(&var) = view.leaves.get(&(relation.to_string(), tuple.clone())) {
-                for row in &mut view.rows {
-                    match &mut row.backend {
-                        RowBackend::Circuit(circuit) => {
+            // A fallback row cannot absorb an update. A tuple no row reads
+            // is absorbed at zero gates: one inserted since the build came
+            // with an insert event that staled the view, or left the
+            // version gap caught above.
+            let ok = view.rows.iter().all(ViewRow::is_circuit);
+            if ok {
+                let key = (relation.to_string(), tuple.clone());
+                for &(row, var) in view
+                    .readers
+                    .get(&key)
+                    .map(Vec::as_slice)
+                    .unwrap_or_default()
+                {
+                    if let Some(row) = view.rows.get_mut(row as usize) {
+                        if let RowBackend::Circuit(circuit) = &mut row.backend {
                             circuit.set_prob(var, p);
                             row.probability = circuit.probability();
                         }
-                        RowBackend::Fallback => ok = false,
                     }
                 }
-            } else {
-                // The tuple is not in the build snapshot: the event stream
-                // is out of sync with the materialization.
-                ok = false;
-            }
-            if ok {
                 view.incremental_updates += 1;
                 self.incremental_applied += 1;
                 absorbed += 1;
@@ -632,13 +625,14 @@ impl ViewManager {
     pub fn on_insert(&mut self, relation: &str, new_version: u64) {
         for view in self.views.values_mut() {
             if view.relations.contains(relation) {
-                view.stale = true;
                 let recorded = view.applied.get(relation).copied().unwrap_or(0);
                 view.applied
                     .insert(relation.to_string(), recorded.max(new_version));
-            } else if view.domain_sensitive {
-                view.stale = true;
+            } else if !view.domain_sensitive {
+                continue;
             }
+            view.stale = true;
+            self.changed.insert(view.name.clone());
         }
     }
 
@@ -647,6 +641,7 @@ impl ViewManager {
         for view in self.views.values_mut() {
             if view.domain_sensitive {
                 view.stale = true;
+                self.changed.insert(view.name.clone());
             }
         }
     }
@@ -659,8 +654,12 @@ impl ViewManager {
             .views
             .remove(name)
             .ok_or_else(|| EngineError::Unsupported(format!("no view named {name}")))?;
-        let outcome = self.refresh_inner(&mut view, db);
+        let outcome = refresh_one(&self.opts, &mut view, db);
         self.views.insert(name.to_string(), view);
+        if matches!(outcome, Ok(RefreshOutcome::Rebuilt)) {
+            self.recompiles += 1;
+            self.changed.insert(name.to_string());
+        }
         outcome
     }
 
@@ -686,6 +685,7 @@ impl ViewManager {
                 Ok(o) => {
                     if o == RefreshOutcome::Rebuilt {
                         self.recompiles += 1;
+                        self.changed.insert(name.clone());
                     }
                     out.push((name.clone(), o));
                 }
@@ -701,18 +701,6 @@ impl ViewManager {
             Some(e) => Err(e),
             None => Ok(out),
         }
-    }
-
-    fn refresh_inner(
-        &mut self,
-        view: &mut View,
-        db: &ProbDb,
-    ) -> Result<RefreshOutcome, EngineError> {
-        let outcome = refresh_one(&self.opts, view, db)?;
-        if outcome == RefreshOutcome::Rebuilt {
-            self.recompiles += 1;
-        }
-        Ok(outcome)
     }
 }
 
@@ -750,12 +738,6 @@ fn build_rows(opts: &ViewOptions, view: &mut View, db: &ProbDb) -> Result<(), En
         .collect();
     let index = db.tuple_db().index();
     let probs: Vec<f64> = index.iter().map(|(_, r)| r.prob).collect();
-    view.leaves = Arc::new(
-        index
-            .iter()
-            .map(|(id, r)| ((r.relation.clone(), r.tuple.clone()), id.0))
-            .collect(),
-    );
     let rows = match &view.def {
         ViewDef::Boolean { fo, .. } => {
             vec![compile_row(opts, fo, Vec::new(), db, &index, &probs)?]
@@ -777,6 +759,7 @@ fn build_rows(opts: &ViewOptions, view: &mut View, db: &ProbDb) -> Result<(), En
             rows
         }
     };
+    view.readers = readers(&view.name, &rows, db)?;
     view.rows = rows;
     view.stale = false;
     view.rebuilds += 1;
@@ -784,7 +767,7 @@ fn build_rows(opts: &ViewOptions, view: &mut View, db: &ProbDb) -> Result<(), En
 }
 
 /// Compiles one answer row through the engine's grounded path
-/// ([`pdb_core::compile_grounded`]: lineage → traced DPLL → circuit) into a
+/// ([`pdb_core::compile_grounded`]: lineage → traced DPLL → program) into a
 /// cached circuit; falls back to the full cascade when the decision budget
 /// aborts the compilation.
 fn compile_row(
@@ -803,7 +786,10 @@ fn compile_row(
     // above.
     let circuit =
         pdb_core::compile_grounded(fo, db.tuple_db(), index, probs, opts, &pdb_par::current())
-            .map(IncrementalCircuit::compiled);
+            .and_then(|query| {
+                let probs = query.leaf_probs(db)?;
+                Some(IncrementalCircuit::compiled(Arc::new(query), probs))
+            });
     match circuit {
         Some(circuit) => Ok(ViewRow {
             values,
@@ -825,4 +811,39 @@ fn compile_row(
             })
         }
     }
+}
+
+/// For each tuple some circuit row reads, the `(row, program variable)`
+/// pairs that read it.
+type Readers = HashMap<(String, Tuple), Vec<(u32, u32)>>;
+
+/// Indexes the tuples `rows` read, resolving each leaf's
+/// `(relation, position)` against `db` — an error when a leaf points past
+/// its relation's end, which a database the rows were built or saved with
+/// never does.
+fn readers(view: &str, rows: &[ViewRow], db: &ProbDb) -> Result<Readers, EngineError> {
+    let mut readers = Readers::new();
+    for (r, row) in rows.iter().enumerate() {
+        let RowBackend::Circuit(circuit) = &row.backend else {
+            continue;
+        };
+        let query = circuit.query();
+        for (var, leaf) in query.leaves().iter().enumerate() {
+            let Leaf::Tuple { relation, position } = *leaf else {
+                continue;
+            };
+            let name = query.relations().get(relation as usize).map(|(n, _)| n);
+            let tuple = name.and_then(|n| db.tuple_db().relation(n)?.tuple_at(position as usize));
+            let (Some(name), Some(tuple)) = (name, tuple) else {
+                return Err(EngineError::Unsupported(format!(
+                    "view {view}: row {r} reads past the end of a relation"
+                )));
+            };
+            readers
+                .entry((name.clone(), tuple.clone()))
+                .or_default()
+                .push((r as u32, var as u32));
+        }
+    }
+    Ok(readers)
 }

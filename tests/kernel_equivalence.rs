@@ -32,15 +32,15 @@ use probdb::compile::ddnnf::DdnnfNode;
 use probdb::compile::{order, DecisionDnnf, Fbdd, Obdd};
 use probdb::data::{generators, TupleDb};
 use probdb::kernel::FlatProgram;
-use probdb::lineage::{ucq_dnf_lineage, BoolExpr, Cnf};
-use probdb::logic::{parse_ucq, Var};
+use probdb::lineage::{lineage, ucq_dnf_lineage, BoolExpr, Cnf};
+use probdb::logic::{parse_ucq, Term, Var};
 use probdb::obs::{with_tracer, Tracer};
 use probdb::par::{with_pool, Pool};
 use probdb::replica::{Frame, ReplicaApply, ReplicaStatus};
 use probdb::server::{Service, ServiceOptions};
 use probdb::store::{MemFs, Store, StoreOptions};
 use probdb::views::{IncrementalCircuit, ViewDef, ViewManager, ViewOptions};
-use probdb::wmc::{monte_carlo, Dpll, DpllOptions};
+use probdb::wmc::{count_expr, monte_carlo, Dpll, DpllOptions};
 use probdb::{ProbDb, QueryOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -378,6 +378,26 @@ const PINNED_INCREMENTAL: &[(usize, u64)] = &[
     (3, 4597878686236478356),
 ];
 
+/// A malformed decision-DNNF through the full `IncrementalCircuit::new`
+/// path: the lowering degrades the dangling child to ⊥, so the request
+/// worker gets probability 0 and inert updates instead of a panic.
+#[test]
+fn new_degrades_a_dangling_child_to_false() {
+    let nodes = vec![
+        DdnnfNode::True,
+        DdnnfNode::Decision {
+            var: 0,
+            hi: 0,
+            lo: 5,
+        },
+    ];
+    let dd = DecisionDnnf::new(nodes, 1);
+    let mut c = IncrementalCircuit::new(&dd, vec![0.5], false, 1.0);
+    assert_eq!(c.probability(), 0.0);
+    assert_eq!(c.set_prob(0, 0.25), 0);
+    assert_eq!(c.size(), 1);
+}
+
 // -------------------------------------------------- five query kinds
 
 /// Kind 1 — lifted. The engine answer is pool-invariant, and the lifted
@@ -553,6 +573,8 @@ fn views_kind_batched_refresh_is_bit_identical() {
         views.on_insert("R", db.relation_version("R"));
         views.refresh_all(&db).unwrap();
         let mut fingerprint = Vec::new();
+        let index = db.tuple_db().index();
+        let probs: Vec<f64> = index.iter().map(|(_, r)| r.prob).collect();
         for view in views.iter() {
             let state = view.to_state();
             assert!(
@@ -563,19 +585,39 @@ fn views_kind_batched_refresh_is_bit_identical() {
                 let Some(c) = &row_state.circuit else {
                     continue;
                 };
-                let dd = DecisionDnnf::new(c.nodes.clone(), c.root);
-                let flat = dd.flatten();
+                // A cold traced compile of the same row, as the ledger's
+                // layer probe does it: lineage → traced count → circuit.
+                let fo = match view.def() {
+                    ViewDef::Boolean { fo, .. } => fo.clone(),
+                    ViewDef::Answers { head, cq, .. } => head
+                        .iter()
+                        .zip(&row_state.values)
+                        .fold(cq.clone(), |q, (v, &k)| q.substitute(v, &Term::Const(k)))
+                        .to_fo(),
+                };
+                let lin = lineage(&fo, db.tuple_db(), &index);
+                let traced = DpllOptions {
+                    record_trace: true,
+                    ..DpllOptions::default()
+                };
+                let cold = count_expr(&lin, &probs, traced, &Pool::new(1))
+                    .trace
+                    .unwrap();
+                let dd = DecisionDnnf::from_trace(&cold.trace);
                 let tag = format!("view {} row {row}", view.name());
-                assert_flat_matches(&flat, &c.probs, dd.probability(&c.probs).to_bits(), &tag);
+                assert_flat_matches(
+                    c.query.program(),
+                    &c.probs,
+                    dd.probability(&cold.leaf_probs).to_bits(),
+                    &tag,
+                );
                 // The encoding correction (Tseitin scale, negation) applied
-                // to the flat value must reproduce the stored row
+                // to the program's value must reproduce the stored row
                 // probability exactly.
-                let scaled = flat.eval(&c.probs) * c.scale;
-                let p = if c.negated { 1.0 - scaled } else { scaled };
                 assert_eq!(
-                    p.to_bits(),
+                    c.query.eval(&c.probs).to_bits(),
                     row_state.probability.to_bits(),
-                    "{tag}: flat evaluation must equal the stored row probability"
+                    "{tag}: program evaluation must equal the stored row probability"
                 );
             }
             let rows = view
