@@ -4,8 +4,9 @@
 //! - **A1 allocation-in-hot-path** — allocation shapes (`Vec::new`,
 //!   `vec!`, `.clone()`, `.collect()`, `format!`, `Box::new`, …) in any
 //!   function reachable from the evaluation hot roots: `FlatProgram::eval*`,
-//!   the DPLL branch loop, the Karp–Luby inner scans. Ratchets the kernel's
-//!   de-allocation work so it cannot silently regress.
+//!   the DPLL branch loop, the Karp–Luby inner scans, a view row's
+//!   `IncrementalCircuit::set_prob`. Ratchets the kernel's de-allocation
+//!   work so it cannot silently regress.
 //! - **B1 blocking and lock order** — fsync, untimed `recv`/`wait`, channel
 //!   `send`, sleeps, and lock acquisition reachable from pool worker loops,
 //!   worker closures (the argument spans of pool-submit calls), or the
@@ -48,13 +49,14 @@ pub struct InterprocOptions {
 // ---------------------------------------------------------------------------
 
 /// Hot roots: the kernel evaluators, the DPLL solver loop, the Karp–Luby
-/// inner scans. `(crate, name-or-prefix*, self type)`.
+/// inner scans, a view row's update. `(crate, name-or-prefix*, self type)`.
 const A1_ROOTS: &[(&str, &str, Option<&str>)] = &[
     ("kernel", "eval*", None),
     ("kernel", "force_true", None),
     ("kernel", "first_satisfied", None),
     ("wmc", "solve", None),
     ("wmc", "sample_hits", None),
+    ("views", "set_prob", Some("IncrementalCircuit")),
 ];
 
 const ALLOC_MACROS: &[&str] = &["vec", "format"];

@@ -12,11 +12,12 @@
 //!
 //! * [`FlatProgram`] — an arithmetic circuit as an op-tag array plus
 //!   child-span index arrays and a leaf→tuple table, with a scalar
-//!   evaluator ([`FlatProgram::eval_into`]), a single-node re-evaluator for
-//!   dirty-cone maintenance ([`FlatProgram::eval_node`]), and a **batched**
-//!   entry point that evaluates one program under `B` probability vectors
-//!   at once ([`FlatProgram::eval_batch_into`]), amortizing instruction
-//!   decode across lanes and keeping the inner loop auto-vectorizable,
+//!   evaluator ([`FlatProgram::eval_into`]; a view row's update is one
+//!   kernel pass over the row's program, no recompilation), and a
+//!   **batched** entry point that evaluates one program under `B`
+//!   probability vectors at once ([`FlatProgram::eval_batch_into`]),
+//!   amortizing instruction decode across lanes and keeping the inner loop
+//!   auto-vectorizable,
 //! * [`FlatDnf`] — a monotone DNF as term spans over a flat literal array
 //!   (the Karp–Luby inner loop: force a term, find the first satisfied
 //!   term),

@@ -67,8 +67,7 @@ impl std::fmt::Display for FlatError {
 }
 
 /// A read-only structured view of one flat node (for consumers that need
-/// to walk the program, e.g. building reverse edges for dirty-cone
-/// maintenance).
+/// to walk the program, e.g. encoding it into a snapshot).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FlatNode<'a> {
     /// Constant 0.
@@ -367,11 +366,10 @@ impl FlatProgram {
     }
 
     /// Computes node `i` from leaf probabilities and the values of its
-    /// children (`values` is in flat index space, as produced by
-    /// [`FlatProgram::eval_into`]). This is the single-gate kernel behind
-    /// dirty-cone re-evaluation in `pdb-views`.
+    /// children (`values` is in flat index space): the per-node step of
+    /// [`FlatProgram::eval_into`].
     #[inline]
-    pub fn eval_node(&self, i: u32, probs: &[f64], values: &[f64]) -> f64 {
+    fn eval_node(&self, i: u32, probs: &[f64], values: &[f64]) -> f64 {
         let idx = i as usize;
         let op = match self.ops.get(idx) {
             Some(&op) => op,

@@ -167,10 +167,8 @@ fn encode_circuit(e: &mut Enc, c: &CircuitState) {
                     e.u32(k);
                 }
             }
-            // The decision-DNNF lowering never emits these, and a maintained
-            // row indexes only decision variables and product children:
-            // restore rejects the tag rather than resume a row it would
-            // maintain wrongly.
+            // The decision-DNNF lowering never emits these, so only a
+            // corrupt image carries one: restore rejects the tag.
             FlatNode::Leaf(_) | FlatNode::NegLeaf(_) | FlatNode::Add(_) => e.u8(u8::MAX),
         }
     }
@@ -552,8 +550,7 @@ mod tests {
         let beyond = with_program(&db, &states, &program(1, 0, 1));
         assert!(corrupt(&beyond).contains("reads past its leaf table"));
         // A positive or negative literal, or a disjoint sum: node kinds the
-        // decision-DNNF lowering never emits and a restored row could not
-        // maintain.
+        // decision-DNNF lowering never emits, so corrupt input.
         for tag in [2, 3, 6] {
             let mut other = program(0, 0, 1);
             other[6] = tag;

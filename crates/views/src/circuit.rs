@@ -1,33 +1,24 @@
-//! A compiled query with **cached gate values**.
+//! A compiled query kept **evaluated** under its current leaf probabilities.
 //!
-//! A flat evaluation is a full forward pass — the right tool for a one-shot
-//! WMC, wasteful when the same circuit is re-evaluated after every
-//! tuple-probability change. An [`IncrementalCircuit`] is a row's
-//! [`CompiledQuery`] — the flat program [`pdb_core::compile_grounded`]
-//! produced, gate index = topological rank — plus the per-gate values of
-//! the last evaluation, all sized by the row's own leaves. On [`set_prob`]
-//! it re-evaluates only the **dirty cone**: the decision gates on the
-//! changed variable and, transitively, any parent whose value actually
-//! moved. For the balanced circuits produced by DPLL with components (§7,
-//! eqs. (11)–(13)) that is O(depth) gates per update instead of O(size) —
-//! the asymptotic gap that makes materialized views cheaper to maintain
-//! than to recompute.
+//! An [`IncrementalCircuit`] is a row's [`CompiledQuery`] — the flat program
+//! [`pdb_core::compile_grounded`] produced, gate index = topological rank —
+//! plus the row's leaf probabilities and one reusable value buffer. On
+//! [`set_prob`] it runs one kernel pass over the row's program
+//! ([`pdb_kernel::FlatProgram::eval_into`]), no recompilation: compile once
+//! (§7, eqs. (11)–(13)), then evaluate in time linear in the circuit — the
+//! gap that makes materialized views cheaper to maintain than to recompute.
 //!
 //! [`set_prob`]: IncrementalCircuit::set_prob
 
 use pdb_compile::DecisionDnnf;
 use pdb_core::CompiledQuery;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// A compiled query with cached gate values and parent pointers,
-/// supporting incremental re-evaluation.
+/// A compiled query with its leaf probabilities and last gate values.
 ///
 /// The query's program is persisted as is (its flat nodes and leaf table);
-/// all evaluation state — values, parents, per-variable gate lists — lives
-/// in **flat index space**, where a gate's index *is* its topological rank.
-/// The query records how its root value maps back to the query probability
+/// the value buffer is scratch for the kernel and never persisted. The
+/// query records how its root value maps back to the query probability
 /// ([`CompiledQuery::answer`]): a monotone-DNF lineage is counted
 /// **negated**, and a Tseitin encoding needs a `2^aux` correction.
 #[derive(Clone, Debug)]
@@ -36,21 +27,16 @@ pub struct IncrementalCircuit {
     query: Arc<CompiledQuery>,
     /// Leaf probabilities, indexed by program variable.
     probs: Vec<f64>,
-    /// Cached value of every flat gate (index = flat index).
+    /// Value of every flat gate after the last pass (index = flat index).
     values: Vec<f64>,
-    /// Reverse edges in flat space: `parents[i]` lists the flat gates
-    /// reading flat gate `i`.
-    parents: Vec<Vec<u32>>,
-    /// `var_gates[v]` lists the flat decision gates on variable `v`.
-    var_gates: Vec<Vec<u32>>,
 }
 
 impl IncrementalCircuit {
-    /// Builds the cached circuit from a decision-DNNF and the leaf
-    /// probabilities (`probs[v]` for circuit variable `v`; Tseitin auxiliary
-    /// variables, if any, must already be present at weight ½). The program
-    /// keeps the circuit's variables, so [`IncrementalCircuit::set_prob`]
-    /// takes them too.
+    /// Builds the circuit from a decision-DNNF and the leaf probabilities
+    /// (`probs[v]` for circuit variable `v`; Tseitin auxiliary variables, if
+    /// any, must already be present at weight ½). The program keeps the
+    /// circuit's variables, so [`IncrementalCircuit::set_prob`] takes them
+    /// too.
     pub fn new(
         dd: &DecisionDnnf,
         probs: Vec<f64>,
@@ -63,53 +49,18 @@ impl IncrementalCircuit {
         IncrementalCircuit::compiled(Arc::new(query), probs)
     }
 
-    /// The cached circuit of a compiled query under `probs`, one per
-    /// program variable (from [`CompiledQuery::leaf_probs`] or a snapshot).
-    /// Gate values are computed here, never trusted from disk: the forward
-    /// pass is deterministic, so a restored row's probability is bit for bit
-    /// the saved one.
+    /// The circuit of a compiled query under `probs`, one per program
+    /// variable (from [`CompiledQuery::leaf_probs`] or a snapshot). Gate
+    /// values are computed here, never trusted from disk: the forward pass
+    /// is deterministic, so a restored row's probability is bit for bit the
+    /// saved one.
     pub fn compiled(query: Arc<CompiledQuery>, probs: Vec<f64>) -> IncrementalCircuit {
-        let program = query.program();
-        // Reverse edges and per-variable gate lists, in flat index space.
-        let mut parents: Vec<Vec<u32>> = vec![Vec::new(); program.len()];
-        let mut var_gates: Vec<Vec<u32>> = vec![Vec::new(); probs.len()];
-        for (i, node) in program.iter().enumerate() {
-            let i = i as u32;
-            match node {
-                pdb_kernel::FlatNode::Decision { var, hi, lo } => {
-                    if let Some(ps) = parents.get_mut(hi as usize) {
-                        ps.push(i);
-                    }
-                    if let Some(ps) = parents.get_mut(lo as usize) {
-                        ps.push(i);
-                    }
-                    if let Some(gs) = var_gates.get_mut(var as usize) {
-                        gs.push(i);
-                    }
-                }
-                pdb_kernel::FlatNode::Mul(kids) => {
-                    for &c in kids {
-                        if let Some(ps) = parents.get_mut(c as usize) {
-                            ps.push(i);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // Initial evaluation: one non-recursive forward pass over the flat
-        // program — the same per-gate arithmetic, in the same post-order,
-        // as a gate-by-gate loop, so the cached values are bit-identical.
         let mut values = Vec::new();
-        program.eval_into(&probs, &mut values);
-
+        query.program().eval_into(&probs, &mut values);
         IncrementalCircuit {
             query,
             probs,
             values,
-            parents,
-            var_gates,
         }
     }
 
@@ -124,11 +75,10 @@ impl IncrementalCircuit {
         &self.probs
     }
 
-    /// Changes one leaf probability and re-evaluates the dirty cone
-    /// bottom-up (a min-heap on the flat index — the topological rank —
-    /// guarantees every gate is recomputed at most once, after all of its
-    /// dirty children). Returns the number of gates recomputed — the work
-    /// actually done, as opposed to the O(size) of a from-scratch pass.
+    /// Changes one leaf probability and re-evaluates the program in one
+    /// forward pass into the reused value buffer. Returns the number of
+    /// gates evaluated: the program's length, or 0 when the probability is
+    /// unchanged or the program reads no such variable.
     pub fn set_prob(&mut self, var: u32, p: f64) -> usize {
         let v = var as usize;
         match self.probs.get_mut(v) {
@@ -136,46 +86,11 @@ impl IncrementalCircuit {
             _ => return 0,
         }
         let program = self.query.program();
-        let mut heap: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
-        let mut queued = vec![false; program.len()];
-        for &g in self.var_gates.get(v).map(Vec::as_slice).unwrap_or_default() {
-            if let Some(q) = queued.get_mut(g as usize) {
-                *q = true;
-            }
-            heap.push(Reverse(g));
+        if v >= program.num_vars() {
+            return 0;
         }
-        let mut recomputed = 0;
-        while let Some(Reverse(g)) = heap.pop() {
-            let new = program.eval_node(g, &self.probs, &self.values);
-            recomputed += 1;
-            // Checked accesses degrade (P1 surface): a gate index outside
-            // the value table — impossible for a builder-sealed program —
-            // recomputes nothing rather than panicking.
-            let moved = match self.values.get_mut(g as usize) {
-                Some(slot) if *slot != new => {
-                    *slot = new;
-                    true
-                }
-                _ => false,
-            };
-            if moved {
-                for &parent in self
-                    .parents
-                    .get(g as usize)
-                    .map(Vec::as_slice)
-                    .unwrap_or_default()
-                {
-                    match queued.get_mut(parent as usize) {
-                        Some(q) if !*q => {
-                            *q = true;
-                            heap.push(Reverse(parent));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        recomputed
+        program.eval_into(&self.probs, &mut self.values);
+        program.len()
     }
 
     /// The query probability implied by the cached root value (undoing the
@@ -265,28 +180,6 @@ mod tests {
         assert_eq!(c.set_prob(0, 0.3), 0);
         // Unknown variable: nothing recomputed, no panic.
         assert_eq!(c.set_prob(99, 0.5), 0);
-    }
-
-    #[test]
-    fn independent_blocks_keep_the_dirty_cone_small() {
-        // 8 independent conjuncts: x_{2i} ∧ x_{2i+1}, OR-ed together. With
-        // components on, updating one leaf must not re-evaluate gates from
-        // the other blocks — the recomputed count stays well under the size.
-        let blocks: Vec<BoolExpr> = (0..8)
-            .map(|i| BoolExpr::and_all([v(2 * i), v(2 * i + 1)]))
-            .collect();
-        let f = BoolExpr::or_all(blocks);
-        let probs = vec![0.5; 16];
-        let mut c = compile(&f, &probs);
-        let touched = c.set_prob(0, 0.25);
-        assert!(
-            touched < c.size() / 2,
-            "dirty cone {touched} too large for circuit of {} gates",
-            c.size()
-        );
-        let mut probs2 = probs.clone();
-        probs2[0] = 0.25;
-        assert_close(c.probability(), brute::expr_probability(&f, &probs2), 1e-12);
     }
 
     #[test]

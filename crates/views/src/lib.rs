@@ -4,11 +4,11 @@
 //! scratch. This crate turns the §7 compilation machinery into
 //! **maintained state**: a registered query is compiled — per answer tuple
 //! — into an arithmetic circuit over its lineage (DPLL trace →
-//! decision-DNNF, Huang–Darwiche), and the circuit's gate values are kept
-//! cached. The update cost model follows:
+//! decision-DNNF, Huang–Darwiche), lowered once to a flat program. The
+//! update cost model follows:
 //!
-//! * **probability update** of an existing tuple: re-evaluate the dirty
-//!   path of each affected circuit bottom-up — O(depth) gates, not a full
+//! * **probability update** of an existing tuple: one kernel pass over the
+//!   row's program, no recompilation — linear in the circuit, not a new
 //!   WMC ([`IncrementalCircuit::set_prob`]);
 //! * **insert / domain extension**: the compiled lineage itself is
 //!   invalidated, so affected views go *stale* and are recompiled on

@@ -5,8 +5,8 @@
 //! over the row's [`pdb_core::CompiledQuery`] (lineage → CNF → DPLL trace →
 //! decision-DNNF → flat program, the §7 pipeline), and the view indexes
 //! the tuples its rows read, so a later probability update is absorbed by
-//! re-evaluating the dirty path of each reading row's circuit — not by
-//! re-running the query; an update to a tuple no row reads costs nothing.
+//! one kernel pass over each reading row's program, no recompilation — not
+//! by re-running the query; an update to a tuple no row reads costs nothing.
 //! When the compilation budget is exhausted the row falls back to the full
 //! [`pdb_core::ProbDb::query_fo`] cascade (plan-based dissociation bounds /
 //! Karp–Luby) and is refreshed by re-querying.
@@ -139,9 +139,9 @@ impl ViewDef {
 
 /// How one materialized row is maintained.
 enum RowBackend {
-    /// A compiled circuit (boxed: a circuit is ~an arena of gate values,
-    /// far larger than the `Fallback` variant); updates are O(dirty path).
-    Circuit(Box<IncrementalCircuit>),
+    /// A compiled circuit; an update is one kernel pass over the row's
+    /// program, no recompilation.
+    Circuit(IncrementalCircuit),
     /// Compilation exceeded the budget: the row holds a cascade answer
     /// (possibly approximate, with dissociation bounds) and is refreshed by
     /// re-querying.
@@ -303,7 +303,7 @@ impl View {
         for row in state.rows {
             let backend = match row.circuit {
                 Some(c) if c.probs.len() == c.query.leaves().len() => {
-                    RowBackend::Circuit(Box::new(IncrementalCircuit::compiled(c.query, c.probs)))
+                    RowBackend::Circuit(IncrementalCircuit::compiled(c.query, c.probs))
                 }
                 Some(_) => {
                     return Err(EngineError::Unsupported(format!(
@@ -796,7 +796,7 @@ fn compile_row(
             probability: circuit.probability(),
             bounds: None,
             method: Method::Grounded,
-            backend: RowBackend::Circuit(Box::new(circuit)),
+            backend: RowBackend::Circuit(circuit),
         }),
         None => {
             // Compilation too large: fall back to the cascade (lifted /

@@ -2,10 +2,10 @@
 //!
 //! Registers the paper's Figure 1 query `∃x∃y (R(x) ∧ S(x,y))` as a
 //! materialized view over a scaled-up instance, then streams probability
-//! updates. Each update is absorbed by re-evaluating only the dirty path of
-//! the compiled circuit (§7: lineage → DPLL trace → decision-DNNF); the
-//! example times that against re-running the query from scratch and prints
-//! the refresh latencies side by side.
+//! updates. Each update is absorbed by one kernel pass over the row's
+//! program, no recompilation (§7: lineage → DPLL trace → decision-DNNF →
+//! flat program); the example times that against re-running the query from
+//! scratch and prints the refresh latencies side by side.
 //!
 //! Run with `cargo run --release --example views_streaming`.
 

@@ -364,18 +364,18 @@ const PINNED_PROGRAMS: &[&str] = &[
 ];
 const PINNED_INCREMENTAL: &[(usize, u64)] = &[
     (0, 4599799562038092510),
-    (2, 4598972735374060496),
-    (4, 4599057878976219816),
-    (4, 4597917630404526932),
-    (3, 4598184050009502766),
-    (3, 4599386000176787268),
-    (0, 4599386000176787268),
-    (0, 4599386000176787268),
-    (2, 4597730419582079328),
-    (2, 4599537419432567490),
-    (4, 4602692719171496821),
-    (4, 4601131285967357050),
-    (3, 4597878686236478356),
+    (9, 4598972735374060496),
+    (9, 4599057878976219816),
+    (9, 4597917630404526932),
+    (9, 4598184050009502766),
+    (9, 4599386000176787268),
+    (9, 4599386000176787268),
+    (9, 4599386000176787268),
+    (9, 4597730419582079328),
+    (9, 4599537419432567490),
+    (9, 4602692719171496821),
+    (9, 4601131285967357050),
+    (9, 4597878686236478356),
 ];
 
 /// A malformed decision-DNNF through the full `IncrementalCircuit::new`
